@@ -43,6 +43,7 @@ from repro.core.schedule import Schedule
 
 __all__ = [
     "shelf_placement",
+    "shelf_end",
     "pull_forward",
     "list_compaction",
     "BatchArrays",
@@ -59,8 +60,10 @@ def shelf_placement(
     """Naive placement: every item of batch ``j`` starts at ``batch_starts[j]``.
 
     Feasible by construction because the knapsack selection capped each
-    batch's total allotment at ``m`` — provided every item's duration fits
-    in its batch window, which the DEMT admissibility filter guarantees.
+    batch's total allotment at ``m`` — provided no shelf runs into the
+    next one.  DEMT guarantees that: a nominal batch's items fit its window
+    ``[t_j, t_{j+1}]`` by admissibility, and an extension batch starts at
+    the previous shelf's :func:`shelf_end`.
     """
     if len(batches) != len(batch_starts):
         raise ValueError(
@@ -71,6 +74,24 @@ def shelf_placement(
         for it in items:
             _place_at(out, it, start)
     return out
+
+
+def shelf_end(items: Sequence[ListItem], start: float) -> float:
+    """Latest completion of ``items`` placed as one shelf at ``start``.
+
+    Same arithmetic as the placement itself (a stack's tasks end one after
+    another), so a shelf started at this time never overlaps this one.
+    """
+    end = start
+    for it in items:
+        if it.stack:
+            t = start
+            for task in it.stack:
+                t += task.seq_time
+        else:
+            t = start + it.duration
+        end = max(end, t)
+    return end
 
 
 def pull_forward(batches: Sequence[Sequence[ListItem]], m: int) -> Schedule:

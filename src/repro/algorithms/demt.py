@@ -8,8 +8,10 @@ The algorithm, following the pseudo-code of the paper:
    define the geometric grid ``t_j = C*max / 2^(K-j)`` so that batch ``j``
    occupies the window ``[t_j, t_{j+1}]`` of length ``t_j`` (each batch
    doubles the previous one, the structure borrowed from Shmoys et al.).
-3. For each batch ``j`` (and, as a robustness extension, further doubling
-   batches until every task is placed):
+3. For each batch ``j = 0..K+1`` (and, as a robustness extension,
+   further *extension* rounds of doubling length until every task is
+   placed — a narrow machine may need hundreds: ~0.15 n on rigid trace
+   windows at m = 64):
 
    a. admissible tasks are those with some allotment meeting the batch
       length;
@@ -29,14 +31,28 @@ Within a batch, items are ordered by decreasing ``weight / duration``
 (Smith ratio) — the paper only asks for "a local ordering within the
 batches" without fixing one; the choice is benched in the ablations.
 
-Overall complexity ``O(m n K)`` for the selection loop, as stated in the
-paper, plus ``O(n^2)`` for each compaction pass.
+The batch starts (used by the ``shelf`` compaction) follow the paper's
+windows for the nominal rounds; an extension batch starts where the
+previous shelf ends, so the extension shelves run back to back
+(:func:`shelf_starts`).
+
+Complexity: ``O(m n)`` per round for the knapsack, so ``O(m n K)`` for the
+paper's ``K + 2`` rounds, plus ``O(m n)`` per extension round, plus
+``O(n^2)`` for each compaction pass.  The selection loop is columnar: the
+pool is a set of rows of the instance's time matrix, an
+:class:`~repro.core.allotment.AllotmentTracker` recomputes only the rows
+whose minimal allotment changes at the new length, and only the selected
+rows become :class:`~repro.algorithms.list_scheduling.ListItem` objects —
+outside the compiled knapsack a round costs a few array passes over the
+pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
+
 import numpy as np
 
 from repro import obs
@@ -45,20 +61,28 @@ from repro.algorithms.compaction import (
     list_compaction,
     order_metrics,
     pull_forward,
+    shelf_end,
     shelf_placement,
 )
 from repro.algorithms.dual_approx import DualApproxResult, dual_approximation
 from repro.algorithms.knapsack import knapsack_select_indices
 from repro.algorithms.list_scheduling import ListItem
-from repro.algorithms.merge import merge_small_tasks
-from repro.core.allotment import minimal_allotments, minimal_allotments_for_tasks
+from repro.algorithms.merge import merge_small_rows, stack_rank
+from repro.core.allotment import AllotmentTracker
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.core.task import MoldableTask
 from repro.exceptions import SchedulingError
 from repro.utils.rng import make_rng
 
-__all__ = ["DemtScheduler", "DemtResult", "schedule_demt", "BATCH_ORDERINGS"]
+__all__ = [
+    "DemtScheduler",
+    "DemtResult",
+    "schedule_demt",
+    "BATCH_ORDERINGS",
+    "batch_grid",
+    "batch_rounds",
+    "shelf_starts",
+]
 
 #: Compaction strategies, in increasing refinement order (§3.2).
 COMPACTION_MODES = ("shelf", "pull_forward", "list")
@@ -134,6 +158,11 @@ class DemtScheduler:
             raise ValueError(
                 f"unknown batch ordering {batch_ordering!r}; choose from {BATCH_ORDERINGS}"
             )
+        if not 0 < small_threshold_factor <= 1:
+            raise ValueError(
+                "small_threshold_factor must lie in (0, 1], "
+                f"got {small_threshold_factor}"
+            )
         if not guess_relaxation >= 1.0:
             raise ValueError(
                 f"guess_relaxation must be >= 1.0, got {guess_relaxation}"
@@ -144,7 +173,6 @@ class DemtScheduler:
         self.batch_ordering = batch_ordering
         self.guess_relaxation = guess_relaxation
         self.seed = seed
-        self._selection_cache: tuple | None = None
 
     # ------------------------------------------------------------------ #
     def schedule(self, instance: Instance) -> Schedule:
@@ -169,7 +197,9 @@ class DemtScheduler:
         # Multiplying by the default 1.0 is exact in IEEE arithmetic, so
         # the un-relaxed path stays bit-identical to the paper's algorithm.
         cstar = dual.lam * self.guess_relaxation
-        batches, starts, t_grid, K = self._select_batches(instance, cstar)
+        t_grid, K = batch_grid(cstar, instance.tmin)
+        batches, rounds = self._select_batches(instance, t_grid)
+        starts = shelf_starts(batches, rounds, t_grid)
         schedule = self._compact(batches, starts, instance.m)
 
         improvement = 0.0
@@ -193,117 +223,103 @@ class DemtScheduler:
         return dual_approximation(instance)
 
     # ------------------------------------------------------------------ #
-    # Phase 1: batch geometry and content selection                      #
+    # Phase 1: batch content selection                                   #
     # ------------------------------------------------------------------ #
     def _select_batches(
-        self, instance: Instance, cstar: float
-    ) -> tuple[list[list[ListItem]], list[float], list[float], int]:
-        tmin = instance.tmin
-        if not (cstar > 0 and np.isfinite(cstar)):  # pragma: no cover - defensive
-            raise SchedulingError(f"invalid C*max estimate {cstar}")
-        K = max(0, int(math.floor(math.log2(cstar / tmin))))
-        # t_j = cstar / 2^(K-j); batch j spans [t_j, t_{j+1}], length t_j.
-        t_grid = [cstar / 2 ** (K - j) for j in range(K + 2)]
+        self, instance: Instance, t_grid: list[float]
+    ) -> tuple[list[list[ListItem]], list[int]]:
+        """Select every batch's content; return ``(batches, rounds)``.
 
-        remaining: dict[int, MoldableTask] = {t.task_id: t for t in instance.tasks}
+        ``rounds[b]`` is the round ``j`` that produced batch ``b`` (rounds
+        that select nothing leave no batch).  The pool is a set of rows of
+        ``instance.times_matrix``; an :class:`AllotmentTracker` keeps their
+        minimal allotments current as the length doubles, and objects are
+        built only for the selected rows.
+        """
+        n = instance.n
+        tasks = instance.tasks
+        weights = instance.weights
+        task_ids = instance.task_ids
+        seq_times = instance.times_matrix[:, 0]
+        rank = stack_rank(weights, task_ids)
+        factor = self.small_threshold_factor
+        tracker = AllotmentTracker(instance.times_matrix)
+        allot = tracker.allot
+        # No unplaced row has p(1) below seq_floor, so while the merge
+        # threshold stays under it there is nothing to stack.
+        seq_floor = float(seq_times.min())
+        left = n
         batches: list[list[ListItem]] = []
-        starts: list[float] = []
-
-        # Share the instance's padded (n, m) time matrix with every batch's
-        # admissibility sweep (row-sliced per pool) instead of restacking
-        # the shrinking pool's vectors each round.
-        self._selection_cache = (
-            instance.times_matrix,
-            dict(zip(instance.task_ids.tolist(), range(instance.n))),
-        )
-        try:
-            j = 0
-            # Extension beyond the paper's `for j = 0..K`: keep doubling until
-            # every task is placed (the knapsack may not fit all of them in the
-            # nominal K+1 batches when the machine is narrow).
-            max_batches = K + 2 + instance.n
-            # The doubling exponent is clamped so `length` stays finite
-            # however many extension rounds a narrow machine needs: by then
-            # every task is admissible anyway, and an infinite length
-            # poisons the merge threshold and the shelf starts.  The clamp
-            # must bound the *product*, not just the exponent: with
-            # t_grid[-1] above ~2e37 even small exponents overflowed the
-            # old `t_grid[-1] * 2.0 ** min(j - K - 1, 900)` form, so the
-            # extension saturates at the largest finite doubling instead
-            # (ldexp is exact, bit-identical to the multiply when finite).
-            t_last = t_grid[-1]
-            k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
-            while remaining and j < max_batches:
-                length = (
-                    t_grid[j]
-                    if j < len(t_grid)
-                    else math.ldexp(t_last, min(j - K - 1, k_max))
+        rounds: list[int] = []
+        sort_key = _BATCH_SORT_KEYS[self.batch_ordering]
+        for j, length in batch_rounds(t_grid, n):
+            if not left:
+                break
+            tracker.advance(length)
+            pool = (allot > 0).nonzero()[0]  # the admissible rows, ascending
+            if not pool.size:
+                continue
+            stacks: list[np.ndarray] = []
+            rest = pool
+            if factor * length >= seq_floor:
+                stacks, rest = merge_small_rows(
+                    pool, seq_times, rank, length, small_threshold_factor=factor
                 )
-                start = length  # window is [t_j, t_{j+1}] and t_j == length
-                selected = self._select_one_batch(
-                    list(remaining.values()), length, instance.m
+                if not stacks:
+                    seq_floor = float(
+                        np.min(seq_times, where=tracker.pending(), initial=np.inf)
+                    )
+            ns = len(stacks)
+            # Knapsack items: the stacks first (allotment 1), then the
+            # other admissible rows in instance order.
+            item_allot = allot[rest]
+            item_weights = weights[rest]
+            leads = rest
+            if ns:
+                item_allot = np.concatenate((np.ones(ns, dtype=np.int64), item_allot))
+                item_weights = np.concatenate(
+                    ([sum(weights[s].tolist()) for s in stacks], item_weights)
                 )
-                if selected:
-                    batches.append(selected)
-                    starts.append(start)
-                    for it in selected:
-                        for task in it.stack or (it.task,):
-                            del remaining[task.task_id]
-                j += 1
-        finally:
-            self._selection_cache = None
-        if remaining:  # pragma: no cover - defensive
-            raise SchedulingError(
-                f"batch selection left {len(remaining)} tasks unplaced"
-            )
-        return batches, starts, t_grid, K
+                leads = np.concatenate(([s[0] for s in stacks], rest))
+            selected = self._choose(item_allot, item_weights, task_ids[leads], instance.m)
+            if not len(selected):
+                continue
+            chosen: list[ListItem] = []
+            placed: list[int] = []
+            for i in selected:
+                if i < ns:
+                    rows = stacks[i].tolist()
+                    stack = tuple(tasks[r] for r in rows)
+                    chosen.append(ListItem(stack[0], 1, stack=stack))
+                    placed += rows
+                else:
+                    r = int(rest[i - ns])
+                    chosen.append(ListItem(tasks[r], int(allot[r])))
+                    placed.append(r)
+            tracker.remove(placed)
+            left -= len(placed)
+            # Local ordering inside the batch (default: Smith ratio).
+            chosen.sort(key=sort_key)
+            batches.append(chosen)
+            rounds.append(j)
+        if left:  # pragma: no cover - defensive
+            raise SchedulingError(f"batch selection left {left} tasks unplaced")
+        return batches, rounds
 
-    def _select_one_batch(
-        self, tasks: list[MoldableTask], length: float, m: int
-    ) -> list[ListItem]:
-        # (a) admissibility: some allotment meets the batch length.  One
-        # vectorised sweep over the pool's time vectors replaces a
-        # per-task minimal_allotment call (the seed's selection hot spot).
-        cache = getattr(self, "_selection_cache", None)
-        if cache is not None:
-            matrix, rowmap = cache
-            allots = minimal_allotments(
-                matrix[[rowmap[t.task_id] for t in tasks]], length
-            )
-        else:
-            allots = minimal_allotments_for_tasks(tasks, length, m)
-        admissible = [t for t, a in zip(tasks, allots) if a]
-        if not admissible:
-            return []
-        allot_by_id = {t.task_id: int(a) for t, a in zip(tasks, allots) if a}
-        # (b) merge small sequential tasks by decreasing weight.
-        stacks, rest = merge_small_tasks(
-            admissible, length, small_threshold_factor=self.small_threshold_factor
-        )
-        # (c) price every knapsack item at its minimal allotment (stacks
-        # first, then plain tasks — the DP processes them in this order).
-        # Columnar: the knapsack gets flat arrays and ListItems are built
-        # only for the *selected* items — the pool can be 10-100x larger
-        # than the batch, so materialising a candidate object per pool
-        # member every round was the selection loop's dominant allocation.
-        ns = len(stacks)
-        cand_allots = np.ones(ns + len(rest), dtype=np.int64)
-        cand_weights = np.empty(ns + len(rest), dtype=np.float64)
-        for k, stack in enumerate(stacks):
-            cand_weights[k] = stack.weight
-        for k, task in enumerate(rest):
-            cand_allots[ns + k] = allot_by_id[task.task_id]
-            cand_weights[ns + k] = task.weight
-        selected, _, _ = knapsack_select_indices(cand_allots, cand_weights, m)
-        chosen = [
-            ListItem(stacks[i].tasks[0], 1, stack=stacks[i].tasks)
-            if i < ns
-            else ListItem(rest[i - ns], allot_by_id[rest[i - ns].task_id])
-            for i in selected
-        ]
-        # (d) local ordering inside the batch (default: Smith ratio).
-        chosen.sort(key=_BATCH_SORT_KEYS[self.batch_ordering])
-        return chosen
+    def _choose(
+        self,
+        allotments: np.ndarray,
+        weights: np.ndarray,
+        task_ids: np.ndarray,
+        m: int,
+    ) -> list[int]:
+        """Pick the batch among the candidate items; return their indices.
+
+        Items are priced at their allotment; ``task_ids`` holds each item's
+        lead task id (for tie-breaks).  The default is the paper's
+        weight-maximising knapsack; ablation A1 swaps in a greedy here.
+        """
+        return knapsack_select_indices(allotments, weights, m)[0]
 
     # ------------------------------------------------------------------ #
     # Phase 2: compaction and shuffle optimisation                       #
@@ -367,6 +383,58 @@ class DemtScheduler:
         if exact >= base_minsum:  # pragma: no cover - ulp-level tie
             return baseline, 0.0
         return best, (base_minsum - exact) / max(base_minsum, 1e-300)
+
+
+# ---------------------------------------------------------------------- #
+# Batch geometry (shared by every DEMT variant and the reference oracle)  #
+# ---------------------------------------------------------------------- #
+def batch_grid(cstar: float, tmin: float) -> tuple[list[float], int]:
+    """The paper's grid: ``K = floor(log2(C*max / t_min))`` and
+    ``t_j = C*max / 2^(K-j)`` for ``j = 0..K+1``; batch ``j`` spans
+    ``[t_j, t_{j+1}]``, of length ``t_j``."""
+    if not (cstar > 0 and np.isfinite(cstar)):  # pragma: no cover - defensive
+        raise SchedulingError(f"invalid C*max estimate {cstar}")
+    K = max(0, int(math.floor(math.log2(cstar / tmin))))
+    return [cstar / 2 ** (K - j) for j in range(K + 2)], K
+
+
+def batch_rounds(t_grid: list[float], n: int) -> Iterator[tuple[int, float]]:
+    """Yield ``(j, length)`` for every selection round.
+
+    The nominal rounds walk ``t_grid``.  Beyond them (an extension of the
+    paper's ``for j = 0..K``: a narrow machine may not fit every task in
+    the nominal batches) the length keeps doubling, at most ``n`` more
+    rounds.  The doubling saturates at the largest finite value instead
+    of overflowing: by then every task is admissible anyway, and an
+    infinite length would poison the merge threshold.  ``ldexp`` is exact,
+    bit-identical to the multiply while that is finite.
+    """
+    K = len(t_grid) - 2
+    yield from enumerate(t_grid)
+    t_last = t_grid[-1]
+    k_max = min(900, 1024 - math.frexp(t_last)[1]) if math.isfinite(t_last) else 900
+    for j in range(K + 2, K + 2 + n):
+        yield j, math.ldexp(t_last, min(j - K - 1, k_max))
+
+
+def shelf_starts(
+    batches: list[list[ListItem]], rounds: list[int], t_grid: list[float]
+) -> list[float]:
+    """Start time of every batch's shelf.
+
+    A nominal batch ``j`` starts at ``t_j``, the paper's window
+    ``[t_j, t_{j+1}]``.  An extension batch (``j > K + 1``) starts where
+    the previous shelf ends, so the extension shelves run back to back
+    instead of doubling the makespan every round.  (The first batch is
+    always nominal: every task is admissible at ``t_K = C*max``.)
+    """
+    starts: list[float] = []
+    for b, j in enumerate(rounds):
+        if j < len(t_grid):
+            starts.append(t_grid[j])
+        else:
+            starts.append(shelf_end(batches[b - 1], starts[b - 1]))
+    return starts
 
 
 def _item_weight(item: ListItem) -> float:

@@ -13,17 +13,26 @@ within the batch length ``t``; a task that does not fit opens a new stack.
 Because every candidate lasts at most ``t/2``, every stack except possibly
 the last holds at least two tasks — that is the point of the merge: weight
 density per processor goes up.
+
+The rule has one implementation, :func:`merge_small_rows`, over row
+indices of instance-wide arrays (DEMT's columnar selection loop calls it
+once per batch); :func:`merge_small_tasks` is its wrapper over task
+objects.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.task import MoldableTask
 
-__all__ = ["MergedStack", "merge_small_tasks"]
+__all__ = ["MergedStack", "merge_small_tasks", "merge_small_rows", "stack_rank"]
+
+#: Tasks a stack scan sums before it widens (see :func:`_stack_bounds`).
+_FIRST_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,78 @@ class MergedStack:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+
+def stack_rank(weights: np.ndarray, task_ids: np.ndarray) -> np.ndarray:
+    """Position of every row in the stacking order (decreasing weight, then id).
+
+    Computed once per instance; :func:`merge_small_rows` sorts each batch's
+    small rows by it.
+    """
+    order = np.lexsort((task_ids, -np.asarray(weights, dtype=np.float64)))
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+def merge_small_rows(
+    rows: np.ndarray,
+    seq_times: np.ndarray,
+    rank: np.ndarray,
+    batch_length: float,
+    *,
+    small_threshold_factor: float = 0.5,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Row-level stacking: return ``(stacks, untouched)`` as row arrays.
+
+    ``rows`` are the candidate rows of the instance-wide ``seq_times``
+    (``p(1)`` per row) and ``rank`` (:func:`stack_rank`).  Each stack lists
+    its rows in execution order; ``untouched`` keeps the candidates that
+    are not small in their input order.
+    """
+    if batch_length <= 0:
+        raise ValueError(f"batch length must be positive, got {batch_length}")
+    if not 0 < small_threshold_factor <= 1:
+        raise ValueError(
+            f"small_threshold_factor must lie in (0, 1], got {small_threshold_factor}"
+        )
+    seq = seq_times[rows]
+    # A task with no sequential mode (p(1) = +inf: rigid jobs wider than
+    # one processor) can never be stacked, whatever the threshold — an
+    # infinite threshold (overlong doubling rounds) must not sweep it in.
+    small = (seq <= small_threshold_factor * batch_length) & np.isfinite(seq)
+    if not small.any():
+        return [], rows
+    picked = rows[small]
+    picked = picked[np.argsort(rank[picked], kind="stable")]
+    bounds = _stack_bounds(seq_times[picked], batch_length)
+    return np.split(picked, bounds), rows[~small]
+
+
+def _stack_bounds(seq: np.ndarray, batch_length: float) -> list[int]:
+    """Offsets at which a new first-fit stack opens.
+
+    A stack's accumulated time is the running sum from its first task;
+    ``np.cumsum`` adds left to right like a Python loop, so the cut points
+    match a task-by-task accumulation bit for bit.  The first task of a
+    stack always stays in it.  Each stack's scan starts from a short window
+    that doubles while no cut shows, so a stack of ``s`` tasks costs
+    ``O(s)`` and the whole pass stays linear in the number of small tasks.
+    """
+    bounds: list[int] = []
+    start, n, window = 0, seq.size, _FIRST_WINDOW
+    while start + 1 < n:
+        acc = np.cumsum(seq[start : start + window])
+        over = np.flatnonzero(acc[1:] > batch_length)
+        if over.size:
+            start += int(over[0]) + 1
+            bounds.append(start)
+            window = _FIRST_WINDOW
+        elif start + window >= n:
+            break
+        else:
+            window *= 2
+    return bounds
 
 
 def merge_small_tasks(
@@ -85,33 +166,20 @@ def merge_small_tasks(
         Tasks that are not small; the caller gives them their regular
         minimal allotment for the batch.
     """
-    if batch_length <= 0:
-        raise ValueError(f"batch length must be positive, got {batch_length}")
-    if not 0 < small_threshold_factor <= 1:
-        raise ValueError(
-            f"small_threshold_factor must lie in (0, 1], got {small_threshold_factor}"
-        )
-    threshold = small_threshold_factor * batch_length
-    # A task with no sequential mode (p(1) = +inf: rigid jobs wider than
-    # one processor) can never be stacked, whatever the threshold — an
-    # infinite threshold (overlong doubling rounds) must not sweep it in.
-    small: list[MoldableTask] = []
-    untouched: list[MoldableTask] = []
-    for t in tasks:
-        is_small = t.seq_time <= threshold and math.isfinite(t.seq_time)
-        (small if is_small else untouched).append(t)
-
-    small.sort(key=lambda t: (-t.weight, t.task_id))
-    stacks: list[MergedStack] = []
-    current: list[MoldableTask] = []
-    current_time = 0.0
-    for task in small:
-        if current and current_time + task.seq_time > batch_length:
-            stacks.append(MergedStack(tuple(current)))
-            current = []
-            current_time = 0.0
-        current.append(task)
-        current_time += task.seq_time
-    if current:
-        stacks.append(MergedStack(tuple(current)))
-    return stacks, untouched
+    tasks = list(tasks)
+    seq = np.array([t.seq_time for t in tasks], dtype=np.float64)
+    rank = stack_rank(
+        np.array([t.weight for t in tasks], dtype=np.float64),
+        np.array([t.task_id for t in tasks], dtype=np.int64),
+    )
+    stacks, untouched = merge_small_rows(
+        np.arange(len(tasks)),
+        seq,
+        rank,
+        batch_length,
+        small_threshold_factor=small_threshold_factor,
+    )
+    return (
+        [MergedStack(tuple(tasks[i] for i in s.tolist())) for s in stacks],
+        [tasks[i] for i in untouched.tolist()],
+    )

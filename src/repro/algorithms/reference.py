@@ -259,22 +259,44 @@ def reference_dual_approximation(instance, *, rel_tol=1e-3, max_iter=80):
 
 
 # Imported late to avoid a cycle (demt imports compaction at module load).
-from repro.algorithms.demt import DemtScheduler  # noqa: E402
+from repro.algorithms.demt import DemtScheduler, batch_rounds  # noqa: E402
 
 
 class ReferenceDemtScheduler(DemtScheduler):
     """DEMT running entirely on the seed's implementations.
 
-    Seed dual approximation, seed per-task admissibility scan, seed
-    compaction and seed shuffle loop — the full pre-vectorization
-    behavior, for differential tests and as the baseline of the speedup
-    benchmark in ``benchmarks/bench_fig7_timing.py``.
+    Seed dual approximation, seed selection loop (a dict of the remaining
+    tasks, a per-task admissibility scan each round), seed compaction and
+    seed shuffle loop — the full pre-vectorization behavior, for
+    differential tests and as the baseline of the speedup benchmark in
+    ``benchmarks/bench_fig7_timing.py``.  It shares only the batch
+    geometry (:func:`~repro.algorithms.demt.batch_rounds`) and the shelf
+    starts with the production class.
     """
 
     name = "DEMT(reference)"
 
     def _dual(self, instance):
         return reference_dual_approximation(instance)
+
+    def _select_batches(self, instance, t_grid):
+        """The seed's selection loop: a dict of the remaining tasks, and
+        one per-task :meth:`_select_one_batch` call per round."""
+        remaining = {t.task_id: t for t in instance.tasks}
+        batches, rounds = [], []
+        for j, length in batch_rounds(t_grid, instance.n):
+            if not remaining:
+                break
+            selected = self._select_one_batch(list(remaining.values()), length, instance.m)
+            if selected:
+                batches.append(selected)
+                rounds.append(j)
+                for it in selected:
+                    for task in it.stack or (it.task,):
+                        del remaining[task.task_id]
+        if remaining:  # pragma: no cover - defensive
+            raise SchedulingError(f"batch selection left {len(remaining)} tasks unplaced")
+        return batches, rounds
 
     def _select_one_batch(self, tasks, length, m):
         from repro.algorithms.knapsack import KnapsackItem, knapsack_select

@@ -15,20 +15,20 @@ Two selection rules recur throughout the paper:
 Both come in scalar (one task) and vectorised (whole instance) flavours; the
 vectorised forms operate on the ``(n, m)`` processing-time matrix exposed by
 :class:`repro.core.instance.Instance` and are the hot path of the LP bound.
+:class:`AllotmentTracker` keeps the minimal allotments of a shrinking pool
+up to date under a nondecreasing deadline (DEMT's batch lengths).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.task import MoldableTask
 
 __all__ = [
+    "AllotmentTracker",
     "minimal_allotment",
     "minimal_allotments",
-    "minimal_allotments_for_tasks",
     "minimal_area_allotment",
     "minimal_area_allotments",
 ]
@@ -79,28 +79,58 @@ def minimal_allotments(
     return allot.astype(np.int64)
 
 
-def minimal_allotments_for_tasks(
-    tasks: Sequence[MoldableTask], deadline: float, m: int
-) -> np.ndarray:
-    """Vectorised :func:`minimal_allotment` over a task *list*.
+class AllotmentTracker:
+    """:func:`minimal_allotments` of a shrinking pool, kept up to date
+    under a nondecreasing deadline.
 
-    Unlike :func:`minimal_allotments` this builds the time matrix itself,
-    so batch loops over shrinking pools (DEMT's selection) get one numpy
-    sweep per batch instead of one ``minimal_allotment`` call per task.
-    Returns an ``(n,)`` int array; ``0`` encodes "no feasible allotment".
+    A row's minimal allotment only shrinks as the deadline grows: allotment
+    ``a`` drops once the deadline reaches ``min(p(1..a-1))``, and a row with
+    no feasible allotment becomes admissible once it reaches ``min p``.
+    :meth:`advance` recomputes, through :func:`minimal_allotments` itself,
+    only the rows whose threshold the new deadline reached, so
+    :attr:`allot` stays equal to a full recompute over the pool.
+
+    ``allot[r]`` is ``0`` for a row with no feasible allotment yet and for
+    a :meth:`remove`-d row.
     """
-    if not tasks:
-        return np.zeros(0, dtype=np.int64)
-    lengths = {t.times.size for t in tasks}
-    if len(lengths) == 1:
-        matrix = np.stack([t.times for t in tasks])[:, :m]
-    else:  # mixed vector lengths: pad with +inf (never feasible)
-        width = min(m, max(lengths))
-        matrix = np.full((len(tasks), width), np.inf)
-        for row, t in enumerate(tasks):
-            k = min(t.times.size, width)
-            matrix[row, :k] = t.times[:k]
-    return minimal_allotments(matrix, deadline)
+
+    def __init__(self, times_matrix: np.ndarray) -> None:
+        self.times = times_matrix
+        n, m = times_matrix.shape
+        prefix_min = np.minimum.accumulate(times_matrix, axis=1)
+        # _drop[r, a]: the deadline at which row r's allotment a changes —
+        # min p_r for a = 0 (admissible from there on), never for a = 1,
+        # min(p_r(1..a-1)) for a >= 2.
+        self._drop = np.empty((n, m + 1))
+        self._drop[:, 0] = prefix_min[:, -1]
+        self._drop[:, 1] = np.inf
+        self._drop[:, 2:] = prefix_min[:, :-1]
+        self.allot = np.zeros(n, dtype=np.int64)
+        self._live = np.ones(n, dtype=bool)
+        # Deadline at which each row's allotment next changes (+inf: never).
+        self._next = self._drop[:, 0].copy()
+        self._next_min = float(self._next.min(initial=np.inf))
+
+    def advance(self, deadline: float) -> None:
+        """Move to ``deadline`` (never below the previous one)."""
+        if deadline < self._next_min:
+            return
+        due = (self._next <= deadline).nonzero()[0]
+        a = minimal_allotments(self.times[due], deadline)
+        self.allot[due] = a
+        self._next[due] = self._drop[due, a]
+        self._next_min = float(self._next.min(initial=np.inf))
+
+    def remove(self, rows) -> None:
+        """Drop ``rows`` (row indices) from the pool for good."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.allot[rows] = 0
+        self._next[rows] = np.inf
+        self._live[rows] = False
+
+    def pending(self) -> np.ndarray:
+        """Mask of the rows not removed yet (admissible or not)."""
+        return self._live
 
 
 def minimal_area_allotment(

@@ -26,6 +26,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from repro.algorithms.demt import DemtScheduler
 from repro.algorithms.dual_approx import dual_approximation
 from repro.bounds.minsum_lp import minsum_lower_bound
@@ -146,36 +148,16 @@ def _evaluate_variants(
 class _GreedySelectionDemt(DemtScheduler):
     """DEMT with the knapsack swapped for first-fit by weight density."""
 
-    def _select_one_batch(self, tasks, length, m):  # type: ignore[override]
-        from repro.algorithms.list_scheduling import ListItem
-        from repro.algorithms.merge import merge_small_tasks
-        from repro.core.allotment import minimal_allotment
-
-        admissible = [t for t in tasks if minimal_allotment(t, length, m=m) is not None]
-        if not admissible:
-            return []
-        stacks, rest = merge_small_tasks(admissible, length)
-        candidates: list[ListItem] = [
-            ListItem(s.tasks[0], 1, stack=s.tasks) for s in stacks
-        ] + [ListItem(t, minimal_allotment(t, length, m=m)) for t in rest]
-        # Greedy: highest weight per processor first, first-fit into m.
-        def density(it: ListItem) -> float:
-            w = sum(t.weight for t in it.stack) if it.stack else it.task.weight
-            return w / it.allotment
-
-        candidates.sort(key=lambda it: (-density(it), it.task.task_id))
+    def _choose(self, allotments, weights, task_ids, m):
+        # Highest weight per processor first (ties by lead task id),
+        # first-fit into the m processors.
+        density = weights / allotments
         chosen, used = [], 0
-        for it in candidates:
-            if used + it.allotment <= m:
-                chosen.append(it)
-                used += it.allotment
-        chosen.sort(
-            key=lambda it: (
-                -(sum(t.weight for t in it.stack) if it.stack else it.task.weight)
-                / it.duration,
-                it.task.task_id,
-            )
-        )
+        for i in np.lexsort((task_ids, -density)).tolist():
+            a = int(allotments[i])
+            if used + a <= m:
+                chosen.append(i)
+                used += a
         return chosen
 
 

@@ -24,11 +24,14 @@ Replay modes (the on-line policy axis):
     The real thing: the :class:`~repro.simulator.online.BatchPolicy`
     kernel with the trace submit times as release dates.
 ``clairvoyant``
-    The omniscient baseline: one off-line schedule of the whole window,
-    started at the first arrival.  It relaxes release dates (jobs may
-    start before they exist), which is exactly what makes it a lower
-    bound — the on-line/clairvoyant makespan ratio is the measured "price
-    of not knowing the future" (the §2.2 analysis bounds it by ``2ρ``).
+    The omniscient baseline: one off-line schedule of the whole window
+    (the DEMT engine on the release-relaxed instance), started at the
+    first arrival.  Jobs may start before they exist, so it is a
+    reference point, not a lower bound: the engine only approximates the
+    relaxed optimum, and its flow terms (and even the mean flow) can be
+    negative.  The on-line/clairvoyant makespan ratio is the measured
+    "price of not knowing the future" (the §2.2 analysis bounds the
+    on-line makespan by ``2ρ`` times the optimum).
 ``fcfs`` / ``fcfs-backfill`` / ``greedy-interval``
     Every other zero-configuration policy of the
     :data:`~repro.simulator.online.ONLINE_POLICIES` registry, replayed
@@ -81,7 +84,7 @@ __all__ = [
     "REPLAY_ENGINES",
 ]
 
-#: Supported replay modes: ``clairvoyant`` (the omniscient off-line bound)
+#: Supported replay modes: ``clairvoyant`` (the omniscient off-line reference)
 #: plus every zero-configuration registry policy — ``batch`` is the
 #: paper's framework, the rest are the on-line baselines.
 REPLAY_MODES = ("batch", "clairvoyant") + tuple(
@@ -107,8 +110,9 @@ class ReplayResult:
     usual ``sum_i w_i C_i``, recovered as ``weighted_flow + sum_i w_i r_i``
     so cached cells reproduce it without storing a second aggregate.
     In clairvoyant mode flow terms can be negative for individual jobs
-    (the relaxation may finish a job before it arrived) — the mode is a
-    bound, not a feasible execution.
+    (the relaxation may finish a job before it arrived), and so can the
+    mean flow.  The mode is an approximate schedule of the relaxed
+    instance, neither a feasible execution nor a lower bound.
     """
 
     digest: str
@@ -228,7 +232,7 @@ def _replay_cell(args: tuple):
 class ReplayCellFamily(CellFamily):
     """The trace-replay family: ``(model, mode)`` cells on one trace
     window, records addressed by :func:`replay_cell_key` (no instance
-    bounds — the clairvoyant mode *is* the bound)."""
+    bounds: the clairvoyant mode is the reference schedule)."""
 
     name = "replay"
     worker = staticmethod(_replay_cell)

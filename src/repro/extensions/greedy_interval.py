@@ -10,7 +10,10 @@ This class is that *skeleton* without DEMT's refinements: geometric
 batches and weight-maximising knapsack selection, but
 
 * no small-task merging,
-* naive shelf placement (each batch starts at its own ``t_j``),
+* naive shelf placement: each nominal batch starts at its own ``t_j``,
+  and the extension batches that drain what the nominal grid left (a
+  narrow machine runs many) follow back to back, each where the previous
+  shelf ends (:func:`repro.algorithms.demt.shelf_starts`),
 * no compaction, no shuffling.
 
 It serves as a structural ablation: the gap between ``GreedyInterval`` and

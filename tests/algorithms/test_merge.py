@@ -112,3 +112,52 @@ class TestMergeSmallTasks:
         # above one batch forces multi-task stacks somewhere.
         if sum(times) > 8.0:
             assert len(stacks) >= 2
+
+
+def _seed_merge(tasks, batch_length, factor):
+    """The per-task loop that the row-level stacking replaced (reference)."""
+    threshold = factor * batch_length
+    is_small = [t.seq_time <= threshold and np.isfinite(t.seq_time) for t in tasks]
+    small = [t for t, flag in zip(tasks, is_small) if flag]
+    untouched = [t for t, flag in zip(tasks, is_small) if not flag]
+    small.sort(key=lambda t: (-t.weight, t.task_id))
+    stacks, current, current_time = [], [], 0.0
+    for task in small:
+        if current and current_time + task.seq_time > batch_length:
+            stacks.append(tuple(current))
+            current, current_time = [], 0.0
+        current.append(task)
+        current_time += task.seq_time
+    if current:
+        stacks.append(tuple(current))
+    return stacks, untouched
+
+
+@given(
+    data=st.data(),
+    n=st.integers(0, 300),
+    factor=st.sampled_from([1e-12, 0.25, 0.5, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_seed_per_task_loop(data, n, factor):
+    """Row-level stacking == the seed loop, stack for stack.  Up to 300
+    tasks, so stacks outgrow the scan's first window; few distinct times
+    and weights, so running sums hit the batch length exactly and weights
+    tie; rigid rows (p(1) = inf) mixed in."""
+    times = data.draw(
+        st.lists(st.sampled_from([0.1, 0.3, 0.7, 1.0, 2.5, 4.0, np.inf]),
+                 min_size=n, max_size=n)
+    )
+    weights = data.draw(
+        st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=n, max_size=n)
+    )
+    ids = data.draw(st.permutations(range(n)))
+    tasks = [
+        MoldableTask(i, [t, 1.0] if np.isfinite(t) else [np.inf, 1.0], weight=w)
+        for i, t, w in zip(ids, times, weights)
+    ]
+    length = data.draw(st.sampled_from([1.0, 5.0, 8.0]))
+    stacks, untouched = merge_small_tasks(tasks, length, small_threshold_factor=factor)
+    ref_stacks, ref_untouched = _seed_merge(tasks, length, factor)
+    assert [s.tasks for s in stacks] == ref_stacks
+    assert untouched == ref_untouched
