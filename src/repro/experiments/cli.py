@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any cell attempt exceeding this wall-clock budget",
+        help="retry any cell attempt exceeding this wall-clock budget; needs "
+        "--backend process (kills the hung worker) or thread (abandons it)",
     )
     robust.add_argument(
         "--backend", choices=list(BACKENDS), default=argparse.SUPPRESS,
@@ -607,6 +608,11 @@ def _run_robustness(args, cfg, exec_kw: dict, cache) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"robustness: {exc}")
+    if policy.timeout is not None and exec_kw["backend"] == "serial":
+        raise SystemExit(
+            "robustness: --cell-timeout cannot stop a cell on the serial "
+            "backend; use --backend thread or --backend process"
+        )
     engines = (
         ROBUSTNESS_ENGINES if "all" in args.engines else tuple(args.engines)
     )

@@ -27,16 +27,18 @@ interchangeable:
   and return plain records; numbers are guaranteed identical to the serial
   backend (only the wall-clock ``seconds`` measurements differ).
 
-Both backends optionally take a :class:`RetryPolicy`, which turns them
+Every backend optionally takes a :class:`RetryPolicy`, which turns it
 crash-tolerant: failed cell attempts are retried with exponential backoff
 and deterministic jitter, a cell still failing after its attempt budget is
 **quarantined** (recorded as a :class:`CellFailure` instead of aborting
-the campaign — surfaced as :attr:`CellOutcome.error`), each attempt is
-bounded by a per-cell timeout (process backend; a hung worker is killed
-with its pool), and a pool that keeps dying degrades gracefully to
-in-process execution.  Because cell results are pure functions of their
-keys, a record produced on a retry is bit-identical to a first-try record
-— crash-tolerance never changes the numbers.
+the campaign — surfaced as :attr:`CellOutcome.error`), each attempt on a
+pool is bounded by a per-cell timeout, and a process pool that keeps
+dying degrades gracefully to in-process execution.  All three backends
+run one loop (:func:`_map_cells`) and differ only in the executor they
+declare and whether it can kill a hung attempt.  Because cell results are
+pure functions of their keys, a record produced on a retry is
+bit-identical to a first-try record — crash-tolerance never changes the
+numbers.
 
 The :class:`CellCache` memoises per-cell records and per-instance lower
 bounds, so repeated campaigns — sweeps over algorithm subsets, ablations
@@ -57,6 +59,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import (
+    Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeout,
@@ -551,11 +554,15 @@ class RetryPolicy:
     of the same campaign back off identically.  A cell that exhausts its
     ``1 + retries`` attempts is *quarantined*: its slot in the backend's
     result list becomes a :class:`CellFailure` and the campaign carries
-    on.  ``timeout`` bounds one attempt's wall-clock seconds; enforcement
-    is backend-specific — the process backend kills the hung worker with
-    its pool, the thread backend *marks-and-abandons* (threads cannot be
-    killed; see :class:`ThreadBackend`), and the serial backend cannot
-    preempt at all and ignores it.
+    on.  ``timeout`` bounds one attempt's wall-clock seconds, counted
+    from when the backend starts waiting on that cell; it makes the
+    thread and process backends use a pool even for one worker or one
+    item.  A timeout charges the hung cell and abandons its pool — the
+    process backend also kills it, the thread backend leaves the hung
+    thread running in the background (see :class:`ThreadBackend`) — and
+    requeues the pool's other unfinished cells at their current attempt,
+    so cells that never started are not charged.  The serial backend
+    cannot preempt and ignores ``timeout``.
     """
 
     retries: int = 2
@@ -611,7 +618,7 @@ def _maybe_inject_crash() -> None:
     """Deliberate crash hook for fault-injection tests and CI smoke.
 
     When ``REPRO_INJECT_CRASH`` names a directory, the first
-    ``REPRO_INJECT_CRASH_COUNT`` (default 1) guarded worker calls —
+    ``REPRO_INJECT_CRASH_COUNT`` (default 1) cell attempts —
     across every process sharing the directory — claim a marker file
     atomically and die: a worker process hard-exits (simulating a kill),
     an in-process call raises.  Subsequent calls run normally, so a
@@ -630,42 +637,15 @@ def _maybe_inject_crash() -> None:
         except FileExistsError:
             continue
         os.close(fd)
-        import multiprocessing
-
         if multiprocessing.parent_process() is not None:
             os._exit(23)  # a pool worker: die like a real crash
         raise RuntimeError("injected crash (REPRO_INJECT_CRASH)")
 
 
 def _guarded_call(fn: Callable, item: object):
-    """One resilient cell attempt (module-level: picklable for pools)."""
+    """One cell attempt (module-level: picklable for pools)."""
     _maybe_inject_crash()
     return fn(item)
-
-
-def _attempts_in_process(
-    fn: Callable, item: object, index: int, attempt: int, policy: RetryPolicy
-):
-    """Run one cell in-process under the retry policy, from ``attempt``."""
-    while True:
-        try:
-            return _guarded_call(fn, item)
-        except Exception as exc:
-            attempt += 1
-            state = obs.ACTIVE
-            if attempt >= policy.attempts:
-                _log(f"cell {index} quarantined after {attempt} attempts: {exc}")
-                if state is not None:
-                    state.count("cells.quarantined")
-                return CellFailure(str(exc), attempts=attempt)
-            if state is not None:
-                state.count("cells.retries")
-            delay = policy.delay(attempt, index)
-            _log(
-                f"cell {index} failed (attempt {attempt}/{policy.attempts}): "
-                f"{exc}; retrying in {delay:.2f}s"
-            )
-            time.sleep(delay)
 
 
 # ---------------------------------------------------------------------- #
@@ -888,139 +868,18 @@ def _execute_cells_impl(
     return results
 
 
-class SerialBackend:
-    """Run cells in-process, in order (deterministic, no pickling needed).
+class _Backend:
+    """What the three backends share: :meth:`map` runs :func:`_map_cells`
+    with the executor the class declares.  Result order matches item
+    order; records are bit-identical on every backend because workers
+    derive everything from their argument tuples."""
 
-    With a :class:`RetryPolicy`, each cell runs under the in-process
-    retry/quarantine loop (per-cell ``timeout`` cannot be enforced
-    without preemption and is ignored); without one, the historical
-    plain loop — any worker exception propagates.
-    """
-
-    name = "serial"
-
-    def __init__(self, policy: "RetryPolicy | None" = None) -> None:
-        self.policy = policy
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        if self.policy is None:
-            return [fn(item) for item in items]
-        return [
-            _attempts_in_process(fn, item, i, 0, self.policy)
-            for i, item in enumerate(items)
-        ]
-
-
-class ThreadBackend:
-    """Fan cells out over a thread pool inside this process.
-
-    Zero-copy by construction: ``fn`` and the items are shared objects —
-    nothing pickles, nothing stages through shared memory, and there is
-    no per-worker warmup (the process's imports, JIT artifacts and kernel
-    backend selection are already live).  Real parallelism comes from the
-    compiled kernel layer releasing the GIL (:mod:`repro.kernels` with
-    the ``cffi``/``numba`` backends; NumPy ufuncs release it too), so
-    kernel-bound cells overlap; pure-Python cell families still
-    interleave correctly, just without speedup.  Result order matches
-    item order; records are bit-identical to the serial backend because
-    workers derive everything from their argument tuples.
-
-    With a :class:`RetryPolicy` the fan-out is crash-tolerant with the
-    same retry/backoff/quarantine arithmetic as the process backend, with
-    one necessary difference — **timeout marks-and-abandons**: a thread
-    cannot be killed, so an attempt that exceeds ``policy.timeout`` is
-    marked failed (counted under ``cells.timeouts``, retried or
-    quarantined exactly like a process-backend timeout) while the
-    abandoned thread keeps running to completion in the background with
-    its eventual result discarded.  A *hung* (never-returning) worker
-    therefore leaks its thread until process exit — use the process
-    backend when workers are untrusted enough to hang forever.  Unlike a
-    pool of processes, the pool itself cannot die: there is no
-    pool-death/degrade-to-serial path here.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, jobs: int | None = None, policy: "RetryPolicy | None" = None
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs if jobs is not None else default_worker_count()
-        self.policy = policy
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if self.policy is not None:
-            return self._resilient_map(fn, items)
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    # -- crash-tolerant fan-out ----------------------------------------- #
-    def _resilient_map(self, fn: Callable, items: list) -> list:
-        """Submit-based fan-out with retry, timeout and quarantine.
-
-        Same invariants as :meth:`ProcessBackend._resilient_map` — every
-        item ends with exactly one result (worker return value or
-        :class:`CellFailure`) in item order — minus the pool-death
-        machinery (threads share this process; the pool cannot break).
-        A timed-out attempt is registered as failed and its future
-        abandoned; retries are resubmitted to a fresh pool so abandoned
-        threads cannot starve them of workers.
-        """
-        policy = self.policy
-        results: dict[int, object] = {}
-        pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(items)))
-
-        while pending:
-            batch = list(pending)
-            pending.clear()
-            pool = ThreadPoolExecutor(max_workers=min(self.jobs, len(batch)))
-            futures = [(i, attempt, pool.submit(_guarded_call, fn, items[i]))
-                       for i, attempt in batch]
-            try:
-                for i, attempt, fut in futures:
-                    try:
-                        results[i] = fut.result(timeout=policy.timeout)
-                    except FutureTimeout:
-                        # Mark-and-abandon: the thread keeps running; its
-                        # eventual result is discarded.
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "cell attempt timed out",
-                        )
-                    except Exception as exc:  # worker raised
-                        _register_failure(
-                            policy, pending, results, i, attempt, str(exc)
-                        )
-            finally:
-                # Don't wait: abandoned (timed-out) threads may still be
-                # running; unstarted futures of this batch were all
-                # consumed above, so cancel_futures is a no-op safety net.
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        return [results[i] for i in range(len(items))]
-
-
-class ProcessBackend:
-    """Fan cells out over a process pool.
-
-    ``fn`` and every item must be picklable (the campaign workers are
-    module-level functions taking plain tuples).  Result order matches
-    item order, so aggregation is deterministic regardless of completion
-    order; a single-item batch short-circuits to an in-process call.
-
-    With a :class:`RetryPolicy` the fan-out is crash-tolerant (see
-    :meth:`_resilient_map`): worker deaths and per-cell timeouts cost a
-    retry instead of the campaign, and a pool that dies twice degrades
-    to in-process execution of whatever is left.
-    """
-
-    name = "process"
-
-    #: Pool deaths tolerated before degrading to in-process execution.
+    #: Pool factory (``None``: cells run in-process).
+    executor: "Callable[..., Executor] | None" = None
+    #: Whether a hung attempt can be killed (with its pool).
+    can_kill = False
+    #: Deaths of a killable pool tolerated before degrading to
+    #: in-process execution.
     max_pool_deaths = 2
 
     def __init__(
@@ -1032,114 +891,192 @@ class ProcessBackend:
         self.policy = policy
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if self.policy is not None:
-            return self._resilient_map(fn, items)
-        if len(items) <= 1 or self.jobs == 1:
-            return [fn(item) for item in items]
-        workers = min(self.jobs, len(items))
-        chunksize = max(1, len(items) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+        return _map_cells(
+            fn, items, self.policy, self.executor, self.jobs,
+            self.can_kill, self.max_pool_deaths,
+        )
 
-    # -- crash-tolerant fan-out ----------------------------------------- #
-    def _resilient_map(self, fn: Callable, items: list) -> list:
-        """Submit-based fan-out with retry, timeout and quarantine.
 
-        Invariants: every item ends up with exactly one result (a worker
-        return value or a :class:`CellFailure`) in item order; a pool
-        death (``BrokenProcessPool``, or a timeout — the hung worker is
-        killed with its pool) penalises only the cell whose future
-        surfaced it, and requeues the other unfinished cells at their
-        current attempt count; after :attr:`max_pool_deaths` deaths the
-        remainder runs in-process, where attribution is exact.
-        """
-        policy = self.policy
-        results: dict[int, object] = {}
-        pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(items)))
-        pool_deaths = 0
+class SerialBackend(_Backend):
+    """Run cells in-process, in order (deterministic, no pickling needed).
 
-        while pending:
-            if pool_deaths >= self.max_pool_deaths or self.jobs == 1:
-                if pool_deaths:
-                    _log(
-                        f"process pool died {pool_deaths} times; degrading to "
-                        f"serial execution of {len(pending)} remaining cells"
-                    )
-                while pending:
-                    i, attempt = pending.popleft()
-                    results[i] = _attempts_in_process(
-                        fn, items[i], i, attempt, policy
-                    )
-                break
+    A :class:`RetryPolicy` retries and quarantines failing cells as on
+    every backend, but its ``timeout`` cannot be enforced without
+    preemption and is ignored; without a policy the first worker
+    exception propagates.
+    """
 
-            batch = list(pending)
-            pending.clear()
-            pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(batch)))
-            futures = [(i, attempt, pool.submit(_guarded_call, fn, items[i]))
-                       for i, attempt in batch]
-            died = False
-            try:
-                for pos, (i, attempt, fut) in enumerate(futures):
-                    if died:
-                        # The pool is gone: salvage finished futures, requeue
-                        # the rest at their current attempt count.
-                        if fut.done() and fut.exception() is None:
-                            results[i] = fut.result()
-                        else:
-                            pending.append((i, attempt))
-                        continue
-                    try:
-                        results[i] = fut.result(timeout=policy.timeout)
-                    except FutureTimeout:
+    name = "serial"
+
+    def __init__(self, policy: "RetryPolicy | None" = None) -> None:
+        super().__init__(1, policy)
+
+
+class ThreadBackend(_Backend):
+    """Fan cells out over a thread pool inside this process.
+
+    Zero-copy by construction: ``fn`` and the items are shared objects —
+    nothing pickles, nothing stages through shared memory, and there is
+    no per-worker warmup (the process's imports, JIT artifacts and kernel
+    backend selection are already live).  Real parallelism comes from the
+    compiled kernel layer releasing the GIL (:mod:`repro.kernels` with
+    the ``cffi``/``numba`` backends; NumPy ufuncs release it too), so
+    kernel-bound cells overlap; pure-Python cell families still
+    interleave correctly, just without speedup.
+
+    A thread cannot be killed.  A timed-out attempt is charged to its
+    cell (counted under ``cells.timeouts``) and its pool is abandoned:
+    the hung thread runs to completion in the background with its result
+    discarded, while every unfinished cell moves to a fresh pool at its
+    current attempt.  A worker that never returns therefore leaks its
+    thread until process exit — use the process backend when workers may
+    hang forever.  For the same reason this backend never degrades to
+    in-process execution.
+    """
+
+    name = "thread"
+    executor = ThreadPoolExecutor
+
+
+class ProcessBackend(_Backend):
+    """Fan cells out over a process pool.
+
+    ``fn`` and every item must be picklable (the campaign workers are
+    module-level functions taking plain tuples).  Under a
+    :class:`RetryPolicy` worker deaths and per-cell timeouts cost a retry
+    instead of the campaign: a hung worker is killed with its pool, and
+    after :attr:`max_pool_deaths` deaths the remaining cells run
+    in-process.
+    """
+
+    name = "process"
+    executor = ProcessPoolExecutor
+    can_kill = True
+
+
+def _map_cells(
+    fn: Callable,
+    items: Iterable,
+    policy: "RetryPolicy | None",
+    executor: "Callable[..., Executor] | None",
+    jobs: int,
+    can_kill: bool,
+    max_pool_deaths: int,
+) -> list:
+    """The one submit/collect/retry loop behind every backend.
+
+    Every item ends with exactly one result, in item order: the worker's
+    return value or, once the cell has spent ``policy.attempts``, a
+    :class:`CellFailure`.  Without a policy each cell gets one attempt
+    and the first failure in item order is re-raised.
+
+    Cells run in-process when there is no ``executor``, when one worker
+    or one item makes a pool pointless and no timeout needs enforcing,
+    and after ``max_pool_deaths`` deaths of a pool that ``can_kill``.
+    Otherwise each round submits every pending cell to a fresh pool and
+    collects in item order, waiting at most ``policy.timeout`` for each.
+    A worker exception charges its cell.  A timeout or a broken pool
+    charges only the cell whose future surfaced it and abandons the pool
+    (a killable one is killed first): finished results are kept and
+    every other unfinished cell is requeued at its current attempt, so
+    cells that never started are not charged.
+    """
+    items = list(items)
+    timeout = policy.timeout if policy is not None else None
+    in_process = executor is None or (
+        timeout is None and (jobs == 1 or len(items) <= 1)
+    )
+    results: dict[int, object] = {}
+    pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(items)))
+    pool_deaths = 0
+
+    while pending:
+        if in_process or (can_kill and pool_deaths >= max_pool_deaths):
+            if pool_deaths:
+                _log(
+                    f"process pool died {pool_deaths} times; degrading to "
+                    f"serial execution of {len(pending)} remaining cells"
+                )
+            while pending:
+                i, attempt = pending.popleft()
+                try:
+                    results[i] = _guarded_call(fn, items[i])
+                except Exception as exc:
+                    if _charge(policy, results, i, attempt, exc):
+                        pending.appendleft((i, attempt + 1))
+            break
+
+        batch = list(pending)
+        pending.clear()
+        pool = executor(max_workers=min(jobs, len(batch)))
+        futures = [(i, attempt, pool.submit(_guarded_call, fn, items[i]))
+                   for i, attempt in batch]
+        abandoned = False
+        try:
+            for i, attempt, fut in futures:
+                if abandoned:
+                    # Salvage what finished; requeue the rest uncharged.
+                    if fut.done() and fut.exception() is None:
+                        results[i] = fut.result()
+                    else:
+                        pending.append((i, attempt))
+                    continue
+                try:
+                    exc = fut.exception(timeout=timeout)
+                    timed_out = False
+                except FutureTimeout as hung:
+                    exc, timed_out = hung, True
+                if exc is None:
+                    results[i] = fut.result()
+                    continue
+                if timed_out or isinstance(exc, BrokenProcessPool):
+                    abandoned = True
+                    pool_deaths += 1
+                    if timed_out and can_kill:
                         _kill_pool(pool)
-                        died = True
-                        pool_deaths += 1
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "cell attempt timed out",
-                        )
-                    except BrokenProcessPool:
-                        died = True
-                        pool_deaths += 1
-                        _register_failure(
-                            policy, pending, results, i, attempt,
-                            "worker process died (pool broken)",
-                        )
-                    except Exception as exc:  # worker raised; pool is healthy
-                        _register_failure(
-                            policy, pending, results, i, attempt, str(exc)
-                        )
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                if _charge(policy, results, i, attempt, exc, timed_out):
+                    pending.append((i, attempt + 1))
+        finally:
+            # Never wait: an abandoned thread may still be running.
+            pool.shutdown(wait=False, cancel_futures=True)
 
-        return [results[i] for i in range(len(items))]
+    return [results[i] for i in range(len(items))]
 
 
-def _register_failure(
-    policy: RetryPolicy,
-    pending: "deque[tuple[int, int]]",
+def _charge(
+    policy: "RetryPolicy | None",
     results: dict,
     index: int,
     attempt: int,
-    message: str,
-) -> None:
-    """One failed attempt: retry with backoff, or quarantine.
+    exc: BaseException,
+    timed_out: bool = False,
+) -> bool:
+    """Charge one failed attempt to cell ``index``.
 
-    Shared by the process and thread backends so the retry arithmetic,
-    the quarantine threshold, the obs counter keys and the stderr
-    messages (CI greps them) stay identical across backends.
+    Returns ``True`` (after the backoff sleep) when the cell has attempts
+    left, else records its :class:`CellFailure` and returns ``False``.
+    Without a policy the failure is re-raised.  Every backend goes
+    through here, so the retry arithmetic, the obs counter keys and the
+    stderr messages (CI greps them) are the same everywhere.
     """
+    if policy is None:
+        raise exc
+    if timed_out:
+        message = "cell attempt timed out"
+    elif isinstance(exc, BrokenProcessPool):
+        message = "worker process died (pool broken)"
+    else:
+        message = str(exc)
     attempt += 1
     state = obs.ACTIVE
-    if state is not None and message == "cell attempt timed out":
+    if state is not None and timed_out:
         state.count("cells.timeouts")
     if attempt >= policy.attempts:
         _log(f"cell {index} quarantined after {attempt} attempts: {message}")
         if state is not None:
             state.count("cells.quarantined")
         results[index] = CellFailure(message, attempts=attempt)
-        return
+        return False
     if state is not None:
         state.count("cells.retries")
     delay = policy.delay(attempt, index)
@@ -1148,7 +1085,7 @@ def _register_failure(
         f"{message}; retrying in {delay:.2f}s"
     )
     time.sleep(delay)
-    pending.append((index, attempt))
+    return True
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the golden corpora under ``tests/data/``.
 
-Two corpora are maintained here, both pinned at full float precision and
+The corpora maintained here are pinned at full float precision and
 compared with ``==`` by the regression suites:
 
 * ``golden_schedules.json`` — ``(cmax, minsum)`` of the headline
@@ -11,6 +11,10 @@ compared with ``==`` by the regression suites:
   synthetic SWF fixtures and the replay aggregates (makespan, weighted
   flow, batch count) of every moldability model on them, batch and
   clairvoyant modes (``tests/integration/test_trace_replay.py``);
+* ``online_goldens.json`` — on-line schedules on frozen instances with
+  deterministic releases: the seed batch framework's, plus the fcfs,
+  fcfs-backfill and greedy-interval policies
+  (``tests/simulator/test_policies.py``);
 * ``pareto_goldens.json`` — per-instance bi-criteria point clouds, front
   masks and quality indicators of a frozen trade-off sweep (DEMT knob
   deviations + registry algorithms) on synthetic cells and one trace
@@ -133,12 +137,16 @@ ONLINE_SIZES = ((15, 13), (60, 32))  # (n, m)
 ONLINE_SPREADS = (0.5, 2.0)  # release horizon as a fraction of n
 
 
-def online_golden_cells() -> list[dict]:
-    from repro.algorithms.demt import schedule_demt
-    from repro.core.instance import Instance
-    from repro.simulator.reference import ReferenceBatchScheduler
+#: Policies recorded from their production implementations on the same
+#: instances: no seed oracle exists for them, so these rows pin the
+#: current schedules (EASY backfill included) against future rewrites.
+ONLINE_POLICIES = ("fcfs", "fcfs-backfill", "greedy-interval")
 
-    cells = []
+
+def _online_instances():
+    """``(kind, n, m, spread, instance)`` of the frozen on-line corpus."""
+    from repro.core.instance import Instance
+
     for kind in GOLDEN_FAMILIES:
         for n, m in ONLINE_SIZES:
             for spread in ONLINE_SPREADS:
@@ -152,25 +160,47 @@ def online_golden_cells() -> list[dict]:
                     ],
                     m,
                 )
-                res = ReferenceBatchScheduler(schedule_demt).run(inst)
-                cells.append(
-                    {
-                        "kind": kind,
-                        "n": n,
-                        "m": m,
-                        "spread": spread,
-                        "makespan": res.schedule.makespan(),
-                        "batch_starts": list(res.batch_starts),
-                        "batch_contents": [
-                            sorted(c) for c in res.batch_contents
-                        ],
-                        "placements": sorted(
-                            [p.task.task_id, p.start, p.allotment, p.end]
-                            for p in res.schedule
-                        ),
-                    }
-                )
-    return cells
+                yield kind, n, m, spread, inst
+
+
+def _online_doc(kind, n, m, spread, res) -> dict:
+    return {
+        "kind": kind,
+        "n": n,
+        "m": m,
+        "spread": spread,
+        "makespan": res.schedule.makespan(),
+        "batch_starts": list(res.batch_starts),
+        "batch_contents": [sorted(c) for c in res.batch_contents],
+        "placements": sorted(
+            [p.task.task_id, p.start, p.allotment, p.end]
+            for p in res.schedule
+        ),
+    }
+
+
+def online_golden_cells() -> list[dict]:
+    from repro.algorithms.demt import schedule_demt
+    from repro.simulator.reference import ReferenceBatchScheduler
+
+    return [
+        _online_doc(kind, n, m, spread,
+                    ReferenceBatchScheduler(schedule_demt).run(inst))
+        for kind, n, m, spread, inst in _online_instances()
+    ]
+
+
+def online_policy_cells() -> list[dict]:
+    from repro.algorithms.demt import schedule_demt
+    from repro.simulator.online import get_policy
+
+    return [
+        {"policy": name,
+         **_online_doc(kind, n, m, spread,
+                       get_policy(name, offline=schedule_demt).run(inst))}
+        for kind, n, m, spread, inst in _online_instances()
+        for name in ONLINE_POLICIES
+    ]
 
 
 FAULTY_GOLDEN_PATH = Path(__file__).with_name("faulty_goldens.json")
@@ -340,14 +370,20 @@ def main() -> None:
                 "Bit-exact on-line batch schedules of the seed "
                 "ReferenceBatchScheduler (DEMT engine) on frozen instances "
                 "with deterministic releases; the BatchPolicy kernel must "
-                "reproduce every placement.  Regenerate with "
+                "reproduce every placement.  policy_cells records the "
+                "fcfs, fcfs-backfill and greedy-interval policies on the "
+                "same instances.  Regenerate with "
                 "tests/data/make_goldens.py only for intentional changes."
             ),
         },
         "cells": online_golden_cells(),
+        "policy_cells": online_policy_cells(),
     }
     ONLINE_GOLDEN_PATH.write_text(json.dumps(online_payload, indent=1) + "\n")
-    print(f"wrote {len(online_payload['cells'])} online cells to {ONLINE_GOLDEN_PATH}")
+    print(
+        f"wrote {len(online_payload['cells'])} online batch cells and "
+        f"{len(online_payload['policy_cells'])} policy cells to {ONLINE_GOLDEN_PATH}"
+    )
 
     pareto_payload = {
         "_meta": {

@@ -191,3 +191,12 @@ class TestCleanErrorExits:
         blocker.write_text("i am a file, not a directory")
         with pytest.raises(SystemExit, match="cache dir .* is unusable"):
             main(["--figure", "7", "--scale", "smoke", "--cache-dir", str(blocker)])
+
+    @pytest.mark.parametrize("env", [None, "serial"])
+    def test_cell_timeout_on_serial_backend(self, monkeypatch, env):
+        if env is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", env)
+        with pytest.raises(SystemExit, match="serial backend"):
+            main(["robustness", "mixed", "--cell-timeout", "5"])

@@ -9,10 +9,13 @@ Pinned here:
 * worker-death recovery: an injected hard crash (``REPRO_INJECT_CRASH``)
   breaks the pool, the cell is retried, and the final results are
   bit-identical to a serial run;
-* per-cell timeouts: the process backend kills the hung worker's pool;
-  the thread backend marks the cell failed and abandons the worker
-  thread (threads cannot be killed) — either way the cell quarantines
-  and nobody waits for the full hang;
+* per-cell timeouts: the hung cell is charged and its pool abandoned —
+  the process backend kills it, the thread backend leaves the worker
+  thread running (threads cannot be killed) — so the cell quarantines,
+  nobody waits for the full hang, and cells queued behind it are not
+  charged, also at ``jobs=1``;
+* the failure-path obs counters (``cells.retries``, ``cells.quarantined``,
+  ``cells.timeouts``) agree across backends;
 * a pool that keeps dying degrades to in-process execution and still
   completes every cell;
 * :func:`default_worker_count` honours the scheduler affinity mask and
@@ -27,6 +30,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.experiments.engine import (
     CellFailure,
     CellKey,
@@ -174,6 +178,21 @@ class TestProcessResilience:
         assert out[1] == 2 and out[2] == 4
         assert "quarantined" in capsys.readouterr().err
 
+    def test_timeout_is_enforced_with_one_worker(self, capsys):
+        """One worker still runs the cell in a pool when a timeout is
+        set; in-process the hung cell could not be stopped.  The budget
+        leaves room for forking the replacement worker of cell 1."""
+        backend = ProcessBackend(
+            jobs=1, policy=RetryPolicy(retries=0, backoff=0.0, timeout=1.0)
+        )
+        start = time.monotonic()
+        out = backend.map(_hang_if_zero, [0, 1])
+        assert time.monotonic() - start < 10.0
+        assert isinstance(out[0], CellFailure)
+        assert out[0].message == "cell attempt timed out"
+        assert out[1] == 2
+        assert "cell attempt timed out" in capsys.readouterr().err
+
     def test_repeated_pool_death_degrades_to_serial(self, capsys):
         backend = ProcessBackend(jobs=2, policy=RetryPolicy(retries=5, backoff=0.0))
         out = backend.map(_die_in_pool, [1, 2, 3])
@@ -228,12 +247,68 @@ class TestThreadResilience:
         assert out[1] == 2 and out[2] == 4
         assert "quarantined" in capsys.readouterr().err
 
+    def test_timeout_does_not_charge_cells_queued_behind(self, capsys):
+        """With one worker, cell 1 waits behind the hung cell 0 and never
+        starts before the timeout: it moves to a fresh pool uncharged."""
+        backend = ThreadBackend(
+            jobs=1, policy=RetryPolicy(retries=0, backoff=0.0, timeout=0.3)
+        )
+        out = backend.map(_nap_if_zero, [0, 1])
+        assert isinstance(out[0], CellFailure)
+        assert out[0].message == "cell attempt timed out"
+        assert out[1] == 2
+        assert capsys.readouterr().err.count("quarantined") == 1
+
     def test_serial_and_thread_agree_under_policy(self):
         policy = RetryPolicy(retries=1, backoff=0.0)
         items = list(range(8))
         serial = SerialBackend(policy).map(_double, items)
         thread = ThreadBackend(jobs=2, policy=policy).map(_double, items)
         assert serial == thread
+
+
+_FAILURE_COUNTERS = ("cells.retries", "cells.quarantined", "cells.timeouts")
+
+
+def _failure_counters(backend, fn, items) -> dict:
+    state = obs.enable(fresh=True)
+    try:
+        backend.map(fn, items)
+    finally:
+        obs.disable()
+    return {name: state.counters.get(name, 0) for name in _FAILURE_COUNTERS}
+
+
+class TestFailureCountersAgree:
+    """The failure-path obs counters are the same on every backend."""
+
+    def test_retries_and_quarantines(self):
+        policy = RetryPolicy(retries=1, backoff=0.0)
+        items = [1, -2, 3, -4, 5]
+        counts = [
+            _failure_counters(backend, _fail_if_negative, items)
+            for backend in (
+                SerialBackend(policy),
+                ThreadBackend(jobs=2, policy=policy),
+                ProcessBackend(jobs=2, policy=policy),
+            )
+        ]
+        assert counts[0] == {
+            "cells.retries": 2, "cells.quarantined": 2, "cells.timeouts": 0
+        }
+        assert counts[1] == counts[0] and counts[2] == counts[0]
+
+    def test_timeouts(self):
+        policy = RetryPolicy(retries=0, backoff=0.0, timeout=1.0)
+        thread = _failure_counters(
+            ThreadBackend(jobs=2, policy=policy), _nap_if_zero, [0, 1, 2]
+        )
+        process = _failure_counters(
+            ProcessBackend(jobs=2, policy=policy), _nap_if_zero, [0, 1, 2]
+        )
+        assert thread == process == {
+            "cells.retries": 0, "cells.quarantined": 1, "cells.timeouts": 1
+        }
 
 
 class TestDefaultWorkerCount:

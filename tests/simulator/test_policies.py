@@ -7,7 +7,8 @@ Three layers of protection for the PR-5 refactor:
   (DEMT engine, frozen instances with deterministic releases); the
   production :class:`~repro.simulator.online.BatchPolicy` must reproduce
   every placement bit for bit, and the oracle itself must still match its
-  own recording.
+  own recording.  The same file pins the fcfs, fcfs-backfill and
+  greedy-interval policies on the same instances (``policy_cells``).
 * **Differential fuzzing** — kernel vs oracle on random instances.
 * **Contracts** — every registry policy emits feasible, complete,
   release-respecting schedules, and the simulator's ``busy_time`` /
@@ -94,6 +95,27 @@ class TestGoldenCorpus:
         assert placements_of(
             OnlineBatchScheduler(schedule_demt).run(inst).schedule
         ) == cell["placements"]
+
+
+class TestPolicyGoldens:
+    """The immediate policies reproduce their recorded schedules."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        GOLDENS["policy_cells"],
+        ids=[
+            f"{c['policy']}-{c['kind']}-n{c['n']}-s{c['spread']}"
+            for c in GOLDENS["policy_cells"]
+        ],
+    )
+    def test_policy_reproduces_recording(self, cell):
+        res = get_policy(cell["policy"], offline=schedule_demt).run(
+            golden_instance(cell)
+        )
+        assert res.schedule.makespan() == cell["makespan"]
+        assert list(res.batch_starts) == cell["batch_starts"]
+        assert [sorted(c) for c in res.batch_contents] == cell["batch_contents"]
+        assert placements_of(res.schedule) == cell["placements"]
 
 
 class TestDifferential:
