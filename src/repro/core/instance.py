@@ -303,6 +303,21 @@ class Instance:
         return float(np.min(self.times_matrix))
 
     @cached_property
+    def min_times(self) -> np.ndarray:
+        """``(n,)`` vector of each task's ``min_time`` — its fastest time
+        over its *whole* vector, allotments past ``m`` included (an
+        object-backed task may describe more processors than the cluster
+        has; :attr:`times_matrix` truncates those)."""
+        out = np.min(self.times_matrix, axis=1)
+        if self._tasks is not None:
+            m = self.m
+            for i, t in enumerate(self._tasks):
+                if t.times.size > m:
+                    out[i] = t.min_time
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def max_min_time(self) -> float:
         """``max_i min_k p_i(k)`` — no schedule can finish before this."""
         return float(np.max(np.min(self.times_matrix, axis=1)))

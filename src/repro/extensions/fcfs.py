@@ -21,34 +21,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.allotment import minimal_area_allotment
+import numpy as np
+
 from repro.core.instance import Instance
 from repro.core.profile import FreeProfile
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 
-__all__ = ["rigidify", "FcfsBackfillScheduler"]
+__all__ = ["rigid_columns", "rigidify", "FcfsBackfillScheduler"]
 
 
-def rigidify(instance: Instance, *, slack: float = 2.0) -> dict[int, int]:
-    """Choose a fixed allotment per task, emulating user requests.
+def rigid_columns(
+    instance: Instance, *, slack: float = 2.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed allotments and their durations, one per instance row.
 
     Users of rigid systems request "enough processors to finish in
     reasonable time".  We model this as the minimal-*area* allotment that
     meets the deadline ``slack * (fastest duration)`` — frugal in work,
     as a user paying for node-hours would be, but not pathologically
     sequential.
+
+    Computed from the instance's columns in one masked ``argmin`` of
+    ``k * p(k)``: the same rule, bits and first-index tie-break as
+    :func:`~repro.core.allotment.minimal_area_allotment` applied per task
+    (the deadline uses each task's full-vector ``min_time``).  Returns
+    ``(allotments, durations)`` as int64 / float64 arrays in row order.
     """
     if slack < 1.0:
         raise ValueError(f"slack must be >= 1, got {slack}")
-    allotments: dict[int, int] = {}
-    for task in instance:
-        deadline = task.min_time * slack
-        best = minimal_area_allotment(task, deadline, m=instance.m)
-        if best is None:  # pragma: no cover - min_time*slack always feasible
-            raise SchedulingError(f"task {task.task_id} cannot meet its own deadline")
-        allotments[task.task_id] = best[0]
-    return allotments
+    times = instance.times_matrix
+    feasible = times <= (instance.min_times * slack)[:, None]
+    ok = feasible.any(axis=1)
+    if not ok.all():
+        # Only a task whose fastest allotment lies past m gets here.
+        bad = int(instance.task_ids[np.argmin(ok)])
+        raise SchedulingError(f"task {bad} cannot meet its own deadline")
+    cols = np.where(feasible, instance.areas_matrix, np.inf).argmin(axis=1)
+    durations = times[np.arange(times.shape[0]), cols]
+    return cols + 1, durations
+
+
+def rigidify(instance: Instance, *, slack: float = 2.0) -> dict[int, int]:
+    """Task id -> fixed allotment (see :func:`rigid_columns`)."""
+    allot, _durations = rigid_columns(instance, slack=slack)
+    return dict(zip(instance.task_ids.tolist(), allot.tolist()))
 
 
 @dataclass

@@ -348,8 +348,8 @@ class FcfsOnlinePolicy(OnlinePolicy):
 
     The §1.2 baseline of :mod:`repro.extensions.fcfs`, run genuinely
     on-line: jobs are rigidified (fixed user-request allotments via
-    :func:`~repro.extensions.fcfs.rigidify`) and dispatched at arrival
-    and completion events — no batching, no clairvoyance.  With
+    :func:`~repro.extensions.fcfs.rigid_columns`) and dispatched at
+    arrival and completion events — no batching, no clairvoyance.  With
     ``backfill=True`` a job that cannot start computes its reservation
     (the earliest instant enough processors will have been freed) and
     later arrivals may jump ahead only if they terminate by then, so the
@@ -358,10 +358,18 @@ class FcfsOnlinePolicy(OnlinePolicy):
     The event loop is the shared incremental
     :class:`~repro.simulator.events.EventSpine` (FINISH transitions free
     processors before simultaneous ARRIVALs dispatch), so its notion of
-    simultaneity is identical to the simulator engine's; the running set,
-    the free-processor count and the EASY reservation bound
-    (:meth:`~repro.simulator.events.EventSpine.earliest_free`) all live
-    on the spine instead of being re-derived per event.
+    simultaneity is identical to the simulator engine's; the running set
+    and the EASY reservation bound
+    (:meth:`~repro.simulator.events.EventSpine.earliest_free`) live on
+    the spine.  The waiting queue is columnar: widths and durations by
+    arrival position, a started job's width set to ``m + 1`` so no
+    later test can pick it.  A blocked head costs one reservation query
+    and one vectorised candidate mask instead of a Python walk of the
+    whole queue; the mask is exact because ``free`` only falls and the
+    reservation is fixed during a scan, so a job rejected once stays
+    rejected.  The pre-spine loop survives in
+    :class:`~repro.simulator.windowed.WindowedFcfsPolicy`, the oracle
+    the tests pin this one against bit for bit.
     """
 
     def __init__(self, backfill: bool = True, slack: float = 2.0) -> None:
@@ -377,79 +385,84 @@ class FcfsOnlinePolicy(OnlinePolicy):
             return self._run_impl(instance)
 
     def _run_impl(self, instance: Instance) -> OnlineResult:
-        from repro.extensions.fcfs import rigidify
+        from repro.extensions.fcfs import rigid_columns
 
         m = instance.m
         out = Schedule(m)
         if instance.n == 0:
             return OnlineResult(out, (), ())
 
-        allot = rigidify(instance, slack=self.slack)
-        task_of = instance.task_by_id
-        durations = {tid: task_of(tid).p(k) for tid, k in allot.items()}
+        allot, durations = rigid_columns(instance, slack=self.slack)
+        ids = instance.task_ids.tolist()
+        tasks = instance.tasks
+        backfill = self.backfill
 
         # FINISH transitions free processors before simultaneous ARRIVALs
-        # enqueue; each window dispatches once.  The waiting queue is a
-        # list walked by a head index; backfilled jobs are tombstoned and
-        # compacted away once they outnumber the live tail, so a long
-        # backlog never pays O(queue) element shifts per start and the
-        # EASY scan only walks live entries.
+        # enqueue; each window dispatches once, and the spine hands out
+        # arrivals in (release, id) order.
         finish = int(Transition.FINISH)
         arrival = int(Transition.ARRIVAL)
         spine = EventSpine(
             m,
-            (
-                (r, arrival, j)
-                for r, j in zip(
-                    instance.releases.tolist(), instance.task_ids.tolist()
-                )
-            ),
+            ((r, arrival, j) for r, j in zip(instance.releases.tolist(), ids)),
         )
-        waiting: list[int | None] = []  # arrival order; None = backfilled
-        head_i = 0
+        # The waiting queue by arrival position, laid out up front: the
+        # instance row, width and duration of the pos-th arrival (lists
+        # for scalar reads, arrays for the mask).  Positions below
+        # ``tail`` have arrived; ``head`` is the first not yet started.
+        order = np.lexsort((instance.task_ids, instance.releases))
+        rows = order.tolist()
+        W = allot[order]
+        D = durations[order]
+        widths = W.tolist()
+        durs = D.tolist()
+        started = m + 1
+        head = tail = 0
+        scans = backfilled = candidates = 0
 
-        def start(job_id: int, now: float) -> None:
-            k = allot[job_id]
-            duration = durations[job_id]
-            out._place_trusted(task_of(job_id), now, k, duration)
-            spine.start(job_id, k, now, now + duration)
-
-        tombstones = 0
+        def start(pos: int, now: float) -> None:
+            row = rows[pos]
+            k = widths[pos]
+            duration = durs[pos]
+            out._place_trusted(tasks[row], now, k, duration)
+            spine.start(ids[row], k, now, now + duration)
 
         def dispatch(now: float) -> None:
-            nonlocal head_i, tombstones
-            if tombstones * 2 > len(waiting) - head_i:
-                # Compact so the backfill scan only walks live entries.
-                live = [j for j in waiting[head_i:] if j is not None]
-                waiting[:] = live
-                head_i = 0
-                tombstones = 0
-            while head_i < len(waiting):
-                head = waiting[head_i]
-                if head is None:  # backfilled earlier
-                    head_i += 1
-                    tombstones -= 1
+            nonlocal head, scans, backfilled, candidates
+            free = spine.free
+            while head < tail:
+                k = widths[head]
+                if k == started:  # backfilled earlier
+                    head += 1
                     continue
-                if allot[head] <= spine.free:
-                    start(head, now)
-                    head_i += 1
-                    continue
-                if not self.backfill:
-                    return
-                # EASY: the head holds a reservation; later jobs may fill
-                # the current hole only if they finish by it.
-                t_res = spine.earliest_free(allot[head])
-                for i in range(head_i + 1, len(waiting)):
-                    cand = waiting[i]
-                    if (
-                        cand is not None
-                        and allot[cand] <= spine.free
-                        and now + durations[cand] <= t_res + TIME_EPS
-                    ):
-                        start(cand, now)
-                        waiting[i] = None
-                        tombstones += 1
+                if k > free:
+                    break
+                start(head, now)
+                free -= k
+                head += 1
+            else:
                 return
+            if not backfill or free == 0:
+                return
+            # EASY: the head holds a reservation; later jobs may fill
+            # the current hole only if they finish by it.
+            scans += 1
+            bound = spine.earliest_free(widths[head]) + TIME_EPS
+            # Every job that fits now and ends by the reservation, in
+            # arrival order; only the width needs re-checking, as each
+            # start lowers ``free``.
+            lo = head + 1
+            fits = (W[lo:tail] <= free) & (now + D[lo:tail] <= bound)
+            for i in (fits.nonzero()[0] + lo).tolist():
+                candidates += 1
+                k = widths[i]
+                if k <= free:
+                    start(i, now)
+                    widths[i] = W[i] = started
+                    backfilled += 1
+                    free -= k
+                    if free == 0:
+                        return
 
         while spine:
             window = spine.pop_window()
@@ -458,13 +471,18 @@ class FcfsOnlinePolicy(OnlinePolicy):
                 if priority == finish:
                     spine.finish(job_id, time)
                 else:  # arrival
-                    waiting.append(job_id)
+                    tail += 1
             dispatch(now)
 
-        if head_i < len(waiting) and any(
-            j is not None for j in waiting[head_i:]
+        if any(
+            k != started for k in widths[head:]
         ):  # pragma: no cover - every start enqueues a completion
             raise SchedulingError("FCFS policy stalled with jobs waiting")
+        state = obs.ACTIVE
+        if state is not None and backfill:
+            state.count("online.backfill_scans", scans)
+            state.count("online.backfilled", backfilled)
+            state.count("online.backfill_candidates", candidates)
         return OnlineResult(out, (), ())
 
 

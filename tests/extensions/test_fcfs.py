@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allotment import minimal_area_allotment
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
 from repro.core.validation import validate_schedule
-from repro.extensions.fcfs import FcfsBackfillScheduler, rigidify
+from repro.exceptions import SchedulingError
+from repro.extensions.fcfs import FcfsBackfillScheduler, rigid_columns, rigidify
 from repro.workloads.generator import generate_workload
 
 from tests.conftest import make_instance, make_task
@@ -32,6 +39,102 @@ class TestRigidify:
         inst = make_instance(n=1, m=2)
         with pytest.raises(ValueError):
             rigidify(inst, slack=0.5)
+
+
+def per_task_rigidify(instance: Instance, slack: float):
+    """The per-task rule: minimal-area allotment under ``min_time * slack``
+    (``None`` when some task cannot meet its own deadline)."""
+    allot, durations = [], []
+    for task in instance:
+        best = minimal_area_allotment(task, task.min_time * slack, m=instance.m)
+        if best is None:
+            return None
+        allot.append(best[0])
+        durations.append(task.p(best[0]))
+    return allot, durations
+
+
+# Small integers make exact area ties (p = 6, 3, 2 has area 6 at k = 1..3);
+# +inf entries make rigid rows with a single finite allotment.
+TIME = st.one_of(
+    st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0, 12.0, math.inf]),
+    st.floats(0.05, 50.0),
+)
+
+
+@st.composite
+def rigidify_cases(draw):
+    m = draw(st.integers(1, 8))
+    tasks = []
+    for i in range(draw(st.integers(1, 8))):
+        size = draw(st.integers(1, m + 3))  # max_procs above and below m
+        times = draw(st.lists(TIME, min_size=size, max_size=size))
+        if not any(math.isfinite(t) for t in times[:m]):
+            times[draw(st.integers(0, min(size, m) - 1))] = draw(st.floats(0.05, 50.0))
+        tasks.append(MoldableTask(10 * i + 3, times))
+    return Instance(tasks, m), draw(st.sampled_from([1.0, 1.25, 2.0, 3.5]))
+
+
+class TestColumnarRigidify:
+    """:func:`rigid_columns` == the per-task ``minimal_area_allotment`` rule."""
+
+    @given(case=rigidify_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_task_rule(self, case):
+        inst, slack = case
+        expected = per_task_rigidify(inst, slack)
+        if expected is None:
+            # The full-vector min_time lies past m: the deadline is
+            # unreachable on this cluster, exactly as per task.
+            with pytest.raises(SchedulingError):
+                rigid_columns(inst, slack=slack)
+            return
+        allot, durations = rigid_columns(inst, slack=slack)
+        assert allot.tolist() == expected[0]
+        assert durations.tolist() == expected[1]
+        assert rigidify(inst, slack=slack) == dict(
+            zip((t.task_id for t in inst), expected[0])
+        )
+        # The array-backed twin (vectors truncated to m) agrees with the
+        # per-task rule over its own rows.
+        twin = Instance.from_arrays(
+            inst.times_matrix, inst.weights, inst.releases, inst.m,
+            task_ids=inst.task_ids,
+        )
+        twin_expected = per_task_rigidify(twin, slack)
+        twin_allot, twin_durations = rigid_columns(twin, slack=slack)
+        assert twin_allot.tolist() == twin_expected[0]
+        assert twin_durations.tolist() == twin_expected[1]
+
+    def test_exact_area_tie_takes_first_index(self):
+        inst = Instance([MoldableTask(0, [6.0, 3.0, 2.0])], 3)
+        allot, durations = rigid_columns(inst, slack=3.0)
+        assert allot.tolist() == [1] and durations.tolist() == [6.0]
+
+    def test_single_finite_entry(self):
+        inst = Instance([MoldableTask(0, [math.inf, math.inf, 5.0, math.inf])], 4)
+        allot, durations = rigid_columns(inst, slack=1.0)
+        assert allot.tolist() == [3] and durations.tolist() == [5.0]
+
+    def test_deadline_uses_full_vector(self):
+        # min_time is 1.0 (on 4 processors); with m = 2 the deadline 2.0
+        # is out of reach, as it is for the per-task rule.
+        inst = Instance([MoldableTask(0, [10.0, 5.0, 2.0, 1.0])], 2)
+        assert per_task_rigidify(inst, 2.0) is None
+        with pytest.raises(SchedulingError):
+            rigid_columns(inst, slack=2.0)
+        allot, _ = rigid_columns(inst, slack=5.0)
+        assert allot.tolist() == [2]
+
+    def test_invalid_slack(self):
+        inst = make_instance(n=2, m=2)
+        with pytest.raises(ValueError):
+            rigid_columns(inst, slack=0.99)
+
+    def test_empty(self):
+        allot, durations = rigid_columns(Instance([], 4))
+        assert allot.shape == durations.shape == (0,)
+        assert allot.dtype == np.int64
 
 
 class TestFcfs:

@@ -17,12 +17,19 @@ the faulty batch loop onto the incremental
   outcomes (placements, batches, crash/deferral counts, full event logs);
   the spine port must reproduce every row.
 
-Plus the archive-scale smoke: a 1M-job SWF replay window, marked slow and
-gated behind ``REPRO_RUN_SLOW=1`` (CI's slow lane).
+Trace-scale FCFS windows pin the columnar EASY scan against the windowed
+oracle on queues hundreds of jobs long (the fuzz stays below 30), and a
+tier-1 guard keeps its per-job scan work from growing with the window.
+
+Plus the archive-scale smoke: 1M-job batch and 100k-job EASY replay
+windows, marked slow and gated behind ``REPRO_RUN_SLOW=1`` (CI's slow
+lane).
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import os
 from pathlib import Path
@@ -32,9 +39,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.algorithms.demt import schedule_demt
 from repro.core.instance import Instance
-from repro.core.validation import validate_schedule
+from repro.core.task import MoldableTask
+from repro.core.validation import TIME_EPS, validate_schedule
 from repro.extensions.reservations import Reservation
 from repro.faults.failures import FaultyBatchPolicy, generate_failures
 from repro.simulator.online import ZERO_CONFIG_POLICIES, BatchPolicy, get_policy
@@ -45,6 +54,7 @@ from repro.simulator.windowed import (
 )
 from repro.utils.rng import derive_rng
 from repro.workloads.generator import generate_workload
+from repro.workloads.trace import load_trace, synthesize_swf, trace_instance
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 FAULTY_GOLDENS = json.loads((DATA / "faulty_goldens.json").read_text())
@@ -64,6 +74,22 @@ def fuzz_instance(seed: int, n: int, spread: float = 1.5) -> Instance:
     kind = ("cirne", "mixed", "highly_parallel", "weakly_parallel")[seed % 4]
     base = generate_workload(kind, n=n, m=8, seed=seed)
     return with_releases(base, rng.exponential(spread, size=n).cumsum())
+
+
+@functools.lru_cache(maxsize=4)  # the 3000-job windows, shared by two tests
+def swf_window(n: int, m: int, seed: int, model: str) -> Instance:
+    trace = load_trace(io.StringIO(synthesize_swf(n, m, seed=seed)))
+    return trace_instance(trace, m, model, online=True)
+
+
+def traced_run(policy, inst):
+    """``policy.run(inst)`` under a fresh obs state: (result, counters)."""
+    state = obs.enable(fresh=True)
+    try:
+        res = policy.run(inst)
+    finally:
+        obs.disable()
+    return res, state.counters
 
 
 def results_identical(a, b) -> None:
@@ -117,6 +143,31 @@ class TestSpineVsWindowedOracles:
             get_policy(name).run(inst), WINDOWED_POLICIES[name]().run(inst)
         )
 
+    @pytest.mark.parametrize("name", ["fcfs", "fcfs-backfill"])
+    def test_tied_releases_queue_by_id_in_any_row_order(self, name):
+        base = fuzz_instance(5, 40, spread=0.5)
+        tasks = [t.with_release(float(np.floor(t.release))) for t in base]
+        order = np.random.default_rng(5).permutation(len(tasks))
+        inst = Instance([tasks[i] for i in order], base.m)
+        assert len(set(inst.releases.tolist())) < inst.n  # ties exist
+        results_identical(
+            get_policy(name).run(inst), WINDOWED_POLICIES[name]().run(inst)
+        )
+
+    def test_reservation_bound_is_inclusive(self):
+        # Job 0 holds one of two processors until 10; job 1 needs both,
+        # so its reservation is 10.  Each filler needs one processor
+        # for exactly t_res + TIME_EPS: the first one backfills at 0.
+        inf = float("inf")
+        edge = 10.0 + TIME_EPS
+        tasks = [MoldableTask(0, [10.0, inf]), MoldableTask(1, [inf, 1.0])]
+        tasks += [MoldableTask(2 + i, [edge, inf]) for i in range(8)]
+        inst = Instance(tasks, 2)
+        res = get_policy("fcfs-backfill").run(inst)
+        results_identical(res, WINDOWED_POLICIES["fcfs-backfill"]().run(inst))
+        assert res.schedule[2].start == 0.0
+        assert res.schedule[3].start > 0.0
+
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 25))
     @settings(max_examples=15, deadline=None)
     def test_seed_oracle_fuzz(self, seed, n):
@@ -126,6 +177,56 @@ class TestSpineVsWindowedOracles:
             BatchPolicy(schedule_demt).run(inst),
             ReferenceBatchScheduler(schedule_demt).run(inst),
         )
+
+
+class TestTraceScaleFcfs:
+    """FCFS and EASY on 3000-job SWF windows == the windowed oracle.
+
+    Rigid windows queue hundreds of jobs, downey ones a few dozen, so
+    the EASY scan's candidate mask runs over long and short tails alike.
+    """
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("model", ["rigid", "downey"])
+    def test_fcfs_matches_oracle(self, seed, model):
+        inst = swf_window(3000, 32, seed, model)
+        res = get_policy("fcfs").run(inst)
+        results_identical(res, WINDOWED_POLICIES["fcfs"]().run(inst))
+        assert len(res.schedule) == 3000
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("model", ["rigid", "downey"])
+    def test_backfill_matches_oracle(self, seed, model):
+        inst = swf_window(3000, 32, seed, model)
+        res, counters = traced_run(get_policy("fcfs-backfill"), inst)
+        results_identical(res, WINDOWED_POLICIES["fcfs-backfill"]().run(inst))
+        assert counters["online.backfill_scans"] > 0
+        assert 0 < counters["online.backfilled"] <= counters[
+            "online.backfill_candidates"
+        ]
+
+
+class TestEasyScanScaling:
+    """Quadratic-regression guard: EASY examines a few jobs per scan.
+
+    ``online.backfill_candidates`` counts the queue positions the scan
+    examines in Python, ``online.backfill_scans`` the scans.  A scan
+    that walks the waiting queue examines its whole tail, hundreds of
+    positions on these rigid windows and more as the window grows; the
+    columnar scan examines only the mask's hits, jobs that fit the hole
+    when the scan starts, well under one per scan on average here.
+    """
+
+    def test_candidates_per_scan_stay_small(self):
+        for n in (5000, 20000):
+            inst = swf_window(n, 64, 7, "rigid")
+            res, counters = traced_run(get_policy("fcfs-backfill"), inst)
+            assert len(res.schedule) == n
+            per_scan = (
+                counters["online.backfill_candidates"]
+                / counters["online.backfill_scans"]
+            )
+            assert per_scan <= 4.0, (n, per_scan)
 
 
 class TestFaultyDifferential:
@@ -232,3 +333,19 @@ class TestMillionJobSmoke:
         assert len(res.schedule) == n
         assert res.n_batches > 1
         assert res.schedule.makespan() > 0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("REPRO_RUN_SLOW") != "1",
+    reason="archive-scale smoke; set REPRO_RUN_SLOW=1 (CI slow lane)",
+)
+class TestEasyArchiveWindow:
+    """100k-job rigid SWF window through EASY backfilling, validated."""
+
+    def test_hundred_thousand_job_easy_window(self):
+        n, m = 100_000, 64
+        inst = swf_window.__wrapped__(n, m, 7, "rigid")
+        res = get_policy("fcfs-backfill").run(inst)
+        assert len(res.schedule) == n
+        validate_schedule(res.schedule, inst)
