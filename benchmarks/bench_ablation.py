@@ -1,4 +1,5 @@
-"""Ablation benches — quantify each DEMT design choice (DESIGN.md A1-A4).
+"""Ablation benches — quantify each DEMT design choice (A1-A4 of
+:mod:`repro.experiments.ablation`).
 
 Each bench prints the variant table (minsum ratio, cmax ratio) and asserts
 the direction the paper motivates:

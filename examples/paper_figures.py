@@ -2,9 +2,9 @@
 """Regenerate a specific figure of the paper (thin CLI wrapper).
 
 Equivalent to ``repro-experiments --figure N`` but kept as an example so
-the per-experiment index of DESIGN.md has a runnable artefact, and to show
-how to drive the harness programmatically (including CSV export of the
-series for external plotting).
+every figure of ``repro.experiments.figures.FIGURES`` has a runnable
+artefact, and to show how to drive the harness programmatically
+(including CSV export of the series for external plotting).
 
 Run:  python examples/paper_figures.py --figure 3 [--scale smoke|quick|paper]
 """

@@ -16,7 +16,8 @@ Every feasible schedule induces a feasible ``x`` whose objective does not
 exceed its minsum, so the LP optimum — and a fortiori the relaxed optimum —
 lower-bounds the optimal ``sum w_i C_i``.
 
-Three strictness refinements to the published text (recorded in DESIGN.md):
+Three strictness refinements to the published text (summarised under
+*Lower bounds* in ``docs/ARCHITECTURE.md``):
 
 * a **leading interval** ``(0, t_0]`` — the paper's grid starts at
   ``t_0 > 0``, and a task completing before ``t_0`` would otherwise be
@@ -33,19 +34,24 @@ Three strictness refinements to the published text (recorded in DESIGN.md):
   valid lower bound.
 
 The LP is solved with HiGHS through :func:`scipy.optimize.linprog` on a
-sparse constraint matrix: ``n (K+3)`` variables and ``n + K + 2``
-constraints, milliseconds even at ``n = 400``.
+sparse constraint matrix: at most ``n (K+3)`` variables and ``n + K + 2``
+constraints.  The matrix is assembled by array operations (no per-entry
+Python loop); at ``n = 400``, ``m = 200`` one call takes 14-34 ms on an
+Intel Xeon core, most of it inside HiGHS and scipy's wrapper around it
+(``docs/PERFORMANCE.md``, *The minsum LP bound*).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog, milp, Bounds, LinearConstraint
 
+from repro import obs
 from repro.core.allotment import minimal_area_allotments
 from repro.core.instance import Instance
 from repro.exceptions import SolverError
@@ -92,6 +98,88 @@ def build_time_grid(instance: Instance, cmax_estimate: float) -> np.ndarray:
     return np.array([cmax_estimate / 2 ** (K - j) for j in range(K + 2)])
 
 
+class _MinsumLP(NamedTuple):
+    """The assembled relaxation: minimise ``c x`` s.t. ``A x <= b_ub``,
+    ``0 <= x <= 1``.  Variable ``v`` is the pair ``(ii[v], jj[v])``."""
+
+    boundaries: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    c: np.ndarray
+    A: sparse.csr_matrix
+    b_ub: np.ndarray
+
+
+def _lp_arrays(instance: Instance, cmax_estimate: float) -> _MinsumLP:
+    """Build the LP of :func:`minsum_lower_bound` for a non-empty instance."""
+    grid = build_time_grid(instance, cmax_estimate)
+    # Interval structure: boundaries b = [0, t_0, ..., t_{K+1}] and a final
+    # open interval.  Interval j (0-based) = (b_j, b_{j+1}] for j < J-1,
+    # and (b_{J-1}, inf) for j = J-1.  Objective coefficient of interval j
+    # is its lower boundary b_j.
+    b = np.concatenate([[0.0], grid])
+    J = b.size  # number of intervals (last one open-ended)
+    n, m = instance.n, instance.m
+    tm = instance.times_matrix
+    am = instance.areas_matrix
+
+    # S[i, j]: minimal area of task i if it ends by the interval's upper
+    # boundary (+inf if it cannot); the open last interval uses the
+    # unconstrained minimum.
+    S = np.empty((n, J))
+    S[:, : J - 1] = minimal_area_allotments(tm, b[1:], areas_matrix=am).T
+    S[:, J - 1] = am.min(axis=1)
+
+    # Variables: the allowed pairs in row-major order, so the variables
+    # of task i are contiguous and v is the rank of (i, j) among them.
+    ii, jj = np.nonzero(np.isfinite(S))
+    n_vars = ii.size
+    # The fastest allotment meeting an interval's deadline is the task's
+    # fastest allotment overall whenever the pair is allowed at all.
+    fastest = tm.min(axis=1)
+    c = instance.weights[ii] * np.maximum(b[jj], fastest[ii])
+
+    # Coverage rows 0..n-1: -sum_j x_{i,j} <= -1 (row i holds the task's
+    # contiguous variables).  Surface row n+j, for each bounded interval
+    # j: sum_{l<=j} sum_i S_{i,l} x_{i,l} <= m b_{j+1}, i.e. every
+    # variable of interval l < J-1 in rows n+l .. n+J-2.
+    surf_j, surf_v = np.nonzero(jj[None, :] <= np.arange(J - 1)[:, None])
+    indptr = np.concatenate([
+        [0],
+        np.cumsum(np.bincount(ii, minlength=n)),
+        n_vars + np.cumsum(np.bincount(surf_j, minlength=J - 1)),
+    ])
+    indices = np.concatenate([np.arange(n_vars), surf_v])
+    data = np.concatenate([np.full(n_vars, -1.0), S[ii, jj][surf_v]])
+    A = sparse.csr_matrix((data, indices, indptr), shape=(n + J - 1, n_vars))
+    b_ub = np.concatenate([np.full(n, -1.0), m * b[1:]])
+    return _MinsumLP(b, ii, jj, c, A, b_ub)
+
+
+def _solve(lp: _MinsumLP, integral: bool) -> tuple[float, np.ndarray]:
+    """Optimal value and flat solution of the LP (or the ILP)."""
+    if integral:
+        res = milp(
+            c=lp.c,
+            constraints=LinearConstraint(lp.A, -np.inf, lp.b_ub),
+            integrality=np.ones(lp.c.size),
+            bounds=Bounds(0, 1),
+        )
+        if not res.success:  # pragma: no cover - solver hiccup
+            raise SolverError(f"MILP failed: {res.message}")
+    else:
+        res = linprog(
+            lp.c,
+            A_ub=lp.A,
+            b_ub=lp.b_ub,
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        if not res.success:  # pragma: no cover - solver hiccup
+            raise SolverError(f"LP failed: {res.message}")
+    return float(res.fun), res.x
+
+
 def minsum_lower_bound(
     instance: Instance,
     cmax_estimate: float | None = None,
@@ -119,97 +207,19 @@ def minsum_lower_bound(
 
         cmax_estimate = dual_approximation(instance).lam
 
-    grid = build_time_grid(instance, cmax_estimate)
-    # Interval structure: boundaries b = [0, t_0, ..., t_{K+1}] and a final
-    # open interval.  Interval j (0-based) = (b_j, b_{j+1}] for j < J-1,
-    # and (b_{J-1}, inf) for j = J-1.  Objective coefficient of interval j
-    # is its lower boundary b_j.
-    b = np.concatenate([[0.0], grid])
-    J = b.size  # number of intervals (last one open-ended)
-    n, m = instance.n, instance.m
-    tm = instance.times_matrix
-    weights = instance.weights
-
-    # S[i, j]: minimal area of task i if it ends by the interval's upper
-    # boundary; the open last interval uses the unconstrained minimum.
-    # fastest[i, j]: the fastest duration among allotments meeting the same
-    # deadline (drives the refined objective coefficients).
-    S = np.empty((n, J))
-    fastest = np.empty((n, J))
-    for j in range(J - 1):
-        S[:, j] = minimal_area_allotments(tm, b[j + 1])
-        fastest[:, j] = np.where(tm <= b[j + 1], tm, np.inf).min(axis=1)
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    S[:, J - 1] = (tm * ks).min(axis=1)
-    fastest[:, J - 1] = tm.min(axis=1)
-
-    allowed = np.isfinite(S)
-    # Variable layout: flat index v = i * J + j, only for allowed pairs.
-    var_index = -np.ones((n, J), dtype=np.int64)
-    flat_allowed = np.argwhere(allowed)
-    for v, (i, j) in enumerate(flat_allowed):
-        var_index[i, j] = v
-    n_vars = flat_allowed.shape[0]
-
-    c = np.array(
-        [weights[i] * max(b[j], fastest[i, j]) for i, j in flat_allowed]
-    )
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs: list[float] = []
-    row = 0
-    # Coverage: -sum_j x_{i,j} <= -1 for each task.
-    for i in range(n):
-        for j in range(J):
-            v = var_index[i, j]
-            if v >= 0:
-                rows.append(row)
-                cols.append(int(v))
-                vals.append(-1.0)
-        rhs.append(-1.0)
-        row += 1
-    # Surface: for each bounded interval j, cumulative area <= m * b_{j+1}.
-    for j in range(J - 1):
-        for l in range(j + 1):
-            for i in range(n):
-                v = var_index[i, l]
-                if v >= 0:
-                    rows.append(row)
-                    cols.append(int(v))
-                    vals.append(float(S[i, l]))
-        rhs.append(float(m * b[j + 1]))
-        row += 1
-
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(row, n_vars)).tocsr()
-    rhs_arr = np.array(rhs)
-
-    if integral:
-        res = milp(
-            c=c,
-            constraints=LinearConstraint(A, -np.inf, rhs_arr),
-            integrality=np.ones(n_vars),
-            bounds=Bounds(0, 1),
-        )
-        if not res.success:  # pragma: no cover - solver hiccup
-            raise SolverError(f"MILP failed: {res.message}")
-        x_flat = res.x
-        value = float(res.fun)
+    state = obs.ACTIVE
+    if state is None:
+        lp = _lp_arrays(instance, cmax_estimate)
+        value, x_flat = _solve(lp, integral)
     else:
-        res = linprog(
-            c,
-            A_ub=A,
-            b_ub=rhs_arr,
-            bounds=(0.0, 1.0),
-            method="highs",
-        )
-        if not res.success:  # pragma: no cover - solver hiccup
-            raise SolverError(f"LP failed: {res.message}")
-        x_flat = res.x
-        value = float(res.fun)
+        with state.span("minsum_lp", "algorithm"):
+            with state.span("minsum_lp.build", "kernel"):
+                lp = _lp_arrays(instance, cmax_estimate)
+            state.count("minsum_lp.vars", lp.c.size)
+            state.count("minsum_lp.nnz", lp.A.nnz)
+            with state.span("minsum_lp.solve", "kernel"):
+                value, x_flat = _solve(lp, integral)
 
-    x = np.zeros((n, J))
-    for v, (i, j) in enumerate(flat_allowed):
-        x[i, j] = x_flat[v]
-    return MinsumBound(value=value, boundaries=b, x=x, integral=integral)
+    x = np.zeros((instance.n, lp.boundaries.size))
+    x[lp.ii, lp.jj] = x_flat
+    return MinsumBound(value=value, boundaries=lp.boundaries, x=x, integral=integral)

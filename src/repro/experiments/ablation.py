@@ -1,4 +1,4 @@
-"""Ablation studies of DEMT's design choices (DESIGN.md §3, A1-A4).
+"""Ablation studies of DEMT's design choices (A1-A4 below).
 
 The paper motivates each ingredient qualitatively; these drivers quantify
 them on the paper's workloads:

@@ -25,8 +25,7 @@ formula: with the formula as published, a centre of 0.9 yields almost no
 speedup.  We follow the *semantics* (highly parallel = quasi-linear
 speedup, as stated in §4.1 and required for the Figure 3/4 discussion to
 make sense) and therefore pair highly ← 0.1, weakly ← 0.9.  The same two
-published constants are used, only their pairing is fixed; the choice is
-recorded in DESIGN.md.
+published constants are used, only their pairing is fixed.
 
 The recurrence generates *monotonic* tasks by construction: with
 ``X ∈ [0, 1]`` the factor ``(X + j)/(1 + j) ≤ 1`` makes times non-increasing,

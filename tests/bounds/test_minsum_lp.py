@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.algorithms.demt import schedule_demt
 from repro.algorithms.dual_approx import dual_approximation
-from repro.bounds.minsum_lp import build_time_grid, minsum_lower_bound
+from repro.bounds.minsum_lp import _lp_arrays, build_time_grid, minsum_lower_bound
+from repro.core.allotment import minimal_area_allotments
 from repro.core.instance import Instance
 from repro.core.task import MoldableTask
 from repro.workloads.generator import generate_workload
@@ -135,3 +138,136 @@ class TestMinsumBound:
         exact = exact_reference(inst)
         ilp = minsum_lower_bound(inst, integral=True).value
         assert ilp <= exact.minsum + 1e-6
+
+
+def _loop_lp(instance, cmax_estimate):
+    """The LP as the original per-entry Python loops assembled it — the
+    oracle the array builder must reproduce bit for bit."""
+    grid = build_time_grid(instance, cmax_estimate)
+    b = np.concatenate([[0.0], grid])
+    J = b.size
+    n, m = instance.n, instance.m
+    tm = instance.times_matrix
+    weights = instance.weights
+    S = np.empty((n, J))
+    fastest = np.empty((n, J))
+    for j in range(J - 1):
+        S[:, j] = minimal_area_allotments(tm, b[j + 1])
+        fastest[:, j] = np.where(tm <= b[j + 1], tm, np.inf).min(axis=1)
+    ks = np.arange(1, m + 1, dtype=np.float64)
+    S[:, J - 1] = (tm * ks).min(axis=1)
+    fastest[:, J - 1] = tm.min(axis=1)
+
+    var_index = -np.ones((n, J), dtype=np.int64)
+    flat_allowed = np.argwhere(np.isfinite(S))
+    for v, (i, j) in enumerate(flat_allowed):
+        var_index[i, j] = v
+    n_vars = flat_allowed.shape[0]
+    c = np.array([weights[i] * max(b[j], fastest[i, j]) for i, j in flat_allowed])
+
+    rows, cols, vals, rhs = [], [], [], []
+    row = 0
+    for i in range(n):
+        for j in range(J):
+            v = var_index[i, j]
+            if v >= 0:
+                rows.append(row)
+                cols.append(int(v))
+                vals.append(-1.0)
+        rhs.append(-1.0)
+        row += 1
+    for j in range(J - 1):
+        for l in range(j + 1):
+            for i in range(n):
+                v = var_index[i, l]
+                if v >= 0:
+                    rows.append(row)
+                    cols.append(int(v))
+                    vals.append(float(S[i, l]))
+        rhs.append(float(m * b[j + 1]))
+        row += 1
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(row, n_vars)).tocsr()
+    return b, flat_allowed, c, A, np.array(rhs)
+
+
+def _loop_bound(instance, cmax_estimate, integral=False):
+    """``(value, x)`` of the oracle LP, solved by the same solver call."""
+    b, flat_allowed, c, A, rhs = _loop_lp(instance, cmax_estimate)
+    if integral:
+        res = milp(
+            c=c,
+            constraints=LinearConstraint(A, -np.inf, rhs),
+            integrality=np.ones(c.size),
+            bounds=Bounds(0, 1),
+        )
+    else:
+        res = linprog(c, A_ub=A, b_ub=rhs, bounds=(0.0, 1.0), method="highs")
+    assert res.success
+    x = np.zeros((instance.n, b.size))
+    for v, (i, j) in enumerate(flat_allowed):
+        x[i, j] = res.x[v]
+    return float(res.fun), x
+
+
+def _assert_same_lp(instance, cmax_estimate, integral=False):
+    b, flat_allowed, c, A, rhs = _loop_lp(instance, cmax_estimate)
+    lp = _lp_arrays(instance, cmax_estimate)
+    assert lp.A.shape == A.shape
+    assert lp.A.has_canonical_format
+    assert lp.A.indices.dtype == A.indices.dtype
+    assert np.array_equal(lp.A.indptr, A.indptr)
+    assert np.array_equal(lp.A.indices, A.indices)
+    assert np.array_equal(lp.A.data, A.data)
+    assert np.array_equal(lp.c, c)
+    assert np.array_equal(lp.b_ub, rhs)
+    assert np.array_equal(lp.boundaries, b)
+    assert np.array_equal(np.column_stack([lp.ii, lp.jj]), flat_allowed)
+    value, x = _loop_bound(instance, cmax_estimate, integral)
+    res = minsum_lower_bound(instance, cmax_estimate, integral=integral)
+    assert res.value == value
+    assert np.array_equal(res.x, x)
+
+
+@st.composite
+def _lp_cases(draw):
+    """Small instances with rigid rows (``max_procs < m``, padded with
+    ``+inf``), non-unit weights, and a makespan estimate from below
+    ``2 tmin`` (a ``K = 0`` grid) to a few doublings above it."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    tasks = []
+    for i in range(n):
+        width = draw(st.integers(1, m))
+        seq = draw(st.floats(0.5, 20.0))
+        alpha = draw(st.floats(0.0, 1.0))
+        weight = draw(st.floats(0.25, 8.0))
+        tasks.append(
+            MoldableTask(i, seq / np.arange(1, width + 1) ** alpha, weight=weight)
+        )
+    inst = Instance(tasks, m)
+    factor = draw(st.floats(0.5, 64.0))
+    return inst, factor * inst.tmin
+
+
+class TestArrayBuilderIdentity:
+    """The array builder assembles exactly the LP the per-entry loops did:
+    the same canonical CSR, objective and right-hand side, hence the same
+    HiGHS solution."""
+
+    @given(case=_lp_cases())
+    # n = 1, a rigid row, and a K = 0 grid (estimate 1.5 tmin).
+    @example(case=(Instance([MoldableTask(0, [3.0, 2.0], weight=2.5)], 4), 3.0))
+    # Two rigid rows and an estimate below tmin (K clamped to 0).
+    @example(case=(Instance([MoldableTask(0, [3.0]), MoldableTask(1, [4.0, 2.0])], 3), 1.5))
+    @settings(max_examples=40, deadline=None)
+    def test_property_same_lp(self, case):
+        inst, cmax_estimate = case
+        _assert_same_lp(inst, cmax_estimate)
+
+    def test_paper_scale_cirne(self):
+        inst = generate_workload("cirne", n=400, m=200, seed=0)
+        _assert_same_lp(inst, dual_approximation(inst).lam)
+
+    def test_integral_path(self):
+        inst = generate_workload("cirne", n=8, m=4, seed=5)
+        _assert_same_lp(inst, dual_approximation(inst).lam, integral=True)

@@ -51,6 +51,27 @@ class TestBitIdentity:
         assert any(k.startswith("kernel.dispatch.") for k in state.counters)
         assert {s.name for s in state.spans} >= {"demt", "dual_approximation"}
 
+    def test_minsum_bound_identical_with_obs_enabled(self):
+        from repro.algorithms.dual_approx import dual_approximation
+        from repro.bounds.minsum_lp import _lp_arrays, minsum_lower_bound
+
+        inst = generate_workload("cirne", n=20, m=8, seed=7)
+        lam = dual_approximation(inst).lam
+        baseline = minsum_lower_bound(inst, lam)
+        state = obs.enable()
+        traced = minsum_lower_bound(inst, lam)
+        obs.disable()
+        assert traced.value == baseline.value
+        assert (traced.x == baseline.x).all()
+        spans = {s.name: s for s in state.spans}
+        root = spans["minsum_lp"]
+        assert root.cat == "algorithm"
+        assert spans["minsum_lp.build"].parent == root.sid
+        assert spans["minsum_lp.solve"].parent == root.sid
+        lp = _lp_arrays(inst, lam)
+        assert state.counters["minsum_lp.vars"] == lp.c.size > 0
+        assert state.counters["minsum_lp.nnz"] == lp.A.nnz > 0
+
     def test_online_replay_identical_with_obs_enabled(self):
         from repro.algorithms.wspt import schedule_wspt
         from repro.simulator.online import BatchPolicy
